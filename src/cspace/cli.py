@@ -17,6 +17,7 @@ from .core import (
     Route,
     StructureError,
     border_flexibility,
+    check_bound,
     has_total_path_support,
     idkey,
     is_flexible_route,
@@ -252,6 +253,8 @@ def _check_flexible(X, bound) -> tuple[int, str]:
 def _cmd_check(args) -> tuple[int, str]:
     X = load_complex(args.file)
     prop = args.property
+    if args.bound is not None:
+        check_bound(args.bound)
     if prop == "flexible":
         return _check_flexible(X, args.bound)
     if prop == "preflexible":
@@ -383,15 +386,15 @@ def _cmd_report(args) -> tuple[int, str]:
     X = load_complex(args.file)
     bound = args.bound
     lines = [f"complex: {X.describe()}", f"flexible vertices: {_ids(X.flexible)}"]
-    if has_total_path_support(X):
-        lines.append("path support: total")
-    else:
+    try:
         verts, edges = path_support(X)
+    except StructureError:
+        lines.append("path support: not available (needs a generator presentation)")
+    else:
         missing = _ids(X.graph.vertices - verts), _ids(X.graph.edge_ids - edges)
-        lines.append(
-            f"path support: partial (missing vertices: {missing[0] or '-'}; "
-            f"edges: {missing[1] or '-'})"
-        )
+        lines.append("path support: total" if not any(missing) else
+                     f"path support: partial (missing vertices: {missing[0] or '-'}; "
+                     f"edges: {missing[1] or '-'})")
     lines.append(f"flexible space: {'yes' if is_flexible_space(X, bound) else 'no'}")
     try:
         bf = border_flexibility(X)
@@ -413,8 +416,6 @@ def _cmd_report(args) -> tuple[int, str]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cspace", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for sampling reproducibility; accepted and unused")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("new", help="write a standard space document")

@@ -25,8 +25,8 @@ predicates built on them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -36,10 +36,10 @@ __all__ = [
     "InvalidRouteError",
     "CompositionError",
     "StructureError",
+    "check_bound",
     "Route",
     "SquareCell",
     "Graph",
-    "MembershipOracle",
     "ControlledComplex",
     "PresentedComplex",
     "idkey",
@@ -55,7 +55,6 @@ __all__ = [
     "reflect_bf",
     "path_support",
     "has_total_path_support",
-    "flexible_vertices",
     "is_flexible_route",
     "is_flexible_space",
     "PreflexibilityReport",
@@ -349,19 +348,25 @@ class Graph:
                     stack.append((word + (e,), self.dst(e)))
 
 
-@dataclass(frozen=True)
-class MembershipOracle:
-    """Total decision procedure for route membership, plus a description tag."""
+def check_bound(bound: int) -> None:
+    """The input check every bounded procedure shares."""
+    if bound < 0:
+        raise StructureError("bound must be >= 0")
 
-    decide: Callable[[Route], bool]
-    tag: str
+
+# the vertices and edges that controlled routes may use
+Support = tuple[frozenset[VertexId], frozenset[EdgeId]]
+
+# (op, parts, keep): keep is the kept vertex set of "restrict", else None
+Recipe = tuple[str, tuple["ControlledComplex", ...], "frozenset[VertexId] | None"]
 
 
 class ControlledComplex:
     """A graph, square cells, a flexible vertex set and a membership oracle.
 
     Instances are immutable.  Subclasses implement ``_decide`` (membership
-    for a graph-valid route) and may override the structural helpers.
+    for a graph-valid route) and override the structural methods below
+    where their kind has a rule.
     """
 
     tag = "abstract"
@@ -398,13 +403,6 @@ class ControlledComplex:
     def generators(self) -> frozenset[Route] | None:
         return None
 
-    @property
-    def oracle(self) -> MembershipOracle:
-        return MembershipOracle(self.is_controlled, self.tag)
-
-    def is_presented(self) -> bool:
-        return self.generators is not None
-
     def is_controlled(self, r: Route) -> bool:
         self._graph.validate_route(r)
         return self._decide(r)
@@ -412,9 +410,22 @@ class ControlledComplex:
     def _decide(self, r: Route) -> bool:
         raise NotImplementedError
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
+    def path_support(self) -> Support:
+        """Vertices and edges appearing in controlled routes."""
+        raise StructureError("path support needs a generator presentation")
+
+    def support_upper(self) -> Support:
         """Superset of the path support; used for truncation flags."""
         return self._graph.vertices, self._graph.edge_ids
+
+    def structural_flexibility(self) -> bool | None:
+        """Exact flexible-space verdict from the kind's structure, or None
+        when only a bounded check over routes can decide."""
+        return None
+
+    def recipe(self) -> Recipe | None:
+        """The construction that rebuilds this complex, if it has one."""
+        return None
 
     def describe(self) -> str:
         return (
@@ -430,13 +441,13 @@ class PresentedComplex(ControlledComplex):
     with constant generators marking extra flexible vertices.
     """
 
+    tag = "generator-backed"
+
     def __init__(
         self,
         graph: Graph,
         generators: Iterable[Route],
         cells: Iterable[SquareCell] = (),
-        tag: str = "generator-backed",
-        recipe: tuple | None = None,
     ) -> None:
         gens = frozenset(generators)
         for g in gens:
@@ -451,12 +462,24 @@ class PresentedComplex(ControlledComplex):
         self._words = sorted(
             (g for g in gens if g.edges), key=Route.sort_key
         )
-        self.tag = tag
-        self.recipe = recipe
+        self._recipe: Recipe | None = None
+
+    @classmethod
+    def derived(
+        cls, op: str, base: ControlledComplex, graph: Graph,
+        generators: Iterable[Route], cells: Iterable[SquareCell] = (),
+    ) -> PresentedComplex:
+        """A presentation built from ``base`` by the recipe operation ``op``."""
+        X = cls(graph, generators, cells)
+        X._recipe = (op, (base,), None)
+        return X
 
     @property
     def generators(self) -> frozenset[Route]:
         return self._generators
+
+    def recipe(self) -> Recipe | None:
+        return self._recipe
 
     def _decide(self, r: Route) -> bool:
         if not r.edges:
@@ -476,16 +499,20 @@ class PresentedComplex(ControlledComplex):
                     break
         return ok[n]
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        return path_support(self)
+    def path_support(self) -> Support:
+        """The union over generators."""
+        verts: set[VertexId] = set()
+        edges: set[EdgeId] = set()
+        for g in self._generators:
+            verts.update(self._graph.visited(g))
+            edges.update(g.edges)
+        return frozenset(verts), frozenset(edges)
+
+    support_upper = path_support
 
 
 # ---------------------------------------------------------------------------
 # flexibility
-
-
-def flexible_vertices(X: ControlledComplex) -> frozenset[VertexId]:
-    return X.flexible
 
 
 def is_flexible_route(X: ControlledComplex, r: Route) -> bool:
@@ -507,39 +534,24 @@ def is_flexible_space(X: ControlledComplex, bound: int | None = None) -> bool:
     gens = X.generators
     if gens is not None:
         return all(is_flexible_route(X, g) for g in gens)
-    checker = getattr(X, "_flexible_space_structural", None)
-    if checker is not None:
-        return bool(checker())
+    verdict = X.structural_flexibility()
+    if verdict is not None:
+        return verdict
     if bound is None:
         raise StructureError(
             "flexibility of this complex needs a bound (no generator presentation)"
         )
+    check_bound(bound)
     for r in enumerate_routes(X.graph, bound):
         if X.is_controlled(r) and not is_flexible_route(X, r):
             return False
     return True
 
 
-def path_support(
-    X: ControlledComplex,
-) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-    """Vertices and edges appearing in controlled routes.
-
-    For a presented complex this is the union over generators.  Derived
-    complexes with a structural rule override ``_path_support``.
-    """
-    rule = getattr(X, "_path_support", None)
-    if rule is not None:
-        return rule()
-    gens = X.generators
-    if gens is None:
-        raise StructureError("path support needs a generator presentation")
-    verts: set[VertexId] = set()
-    edges: set[EdgeId] = set()
-    for g in gens:
-        verts.update(X.graph.visited(g))
-        edges.update(g.edges)
-    return frozenset(verts), frozenset(edges)
+def path_support(X: ControlledComplex) -> Support:
+    """Vertices and edges appearing in controlled routes; kinds without a
+    rule (no generators, not a product or sum) raise ``StructureError``."""
+    return X.path_support()
 
 
 def has_total_path_support(X: ControlledComplex) -> bool:
@@ -552,10 +564,9 @@ def has_total_path_support(X: ControlledComplex) -> bool:
 
 
 def enumerate_words(
-    graph: Graph, max_len: int, starts: Iterable[VertexId] | None = None
+    graph: Graph, max_len: int
 ) -> Iterator[tuple[VertexId, tuple[EdgeId, ...], VertexId]]:
-    vs = sorted(graph.vertices, key=idkey) if starts is None else list(starts)
-    for v in vs:
+    for v in sorted(graph.vertices, key=idkey):
         for word, end in graph.iter_words(v, max_len):
             yield v, word, end
 
@@ -563,12 +574,11 @@ def enumerate_words(
 def enumerate_routes(
     graph: Graph,
     max_len: int,
-    starts: Iterable[VertexId] | None = None,
     all_dwell_sets: bool = True,
 ) -> Iterator[Route]:
     """Every graph-valid route up to ``max_len``, by default with every
     dwell subset.  Exponential in the word length; meant for small bounds."""
-    for start, word, end in enumerate_words(graph, max_len, starts):
+    for start, word, end in enumerate_words(graph, max_len):
         if not all_dwell_sets or not word:
             yield Route(start, end, word)
             continue
@@ -589,6 +599,7 @@ def oracle_equivalent(
 
     With no maps, ids must coincide.  Also compares flexible sets.
     """
+    check_bound(bound)
     vmap = dict(vertex_map) if vertex_map else {v: v for v in X.graph.vertices}
     emap = dict(edge_map) if edge_map else {e: e for e in X.graph.edge_ids}
     if {vmap[v] for v in X.graph.vertices} != set(Y.graph.vertices):
@@ -634,7 +645,7 @@ def reflect_dhat(X: ControlledComplex) -> PresentedComplex:
             for q in range(p + 1, len(g.edges) + 1):
                 s = X.graph.restrict(g, p, q)
                 new.add(s.strip_dwells())
-    return PresentedComplex(X.graph, new, X.cells, tag="reflected")
+    return PresentedComplex.derived("dhat", X, X.graph, new, X.cells)
 
 
 class FlexiblePart(ControlledComplex):
@@ -666,11 +677,11 @@ class FlexiblePart(ControlledComplex):
     def _decide(self, r: Route) -> bool:
         return is_flexible_route(self.base, r)
 
-    def _flexible_space_structural(self) -> bool:
+    def structural_flexibility(self) -> bool:
         return True
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        return self.graph.vertices, self.graph.edge_ids
+    def recipe(self) -> Recipe:
+        return ("fl", (self.base,), None)
 
 
 def reflect_fl(X: ControlledComplex) -> ControlledComplex:
@@ -696,28 +707,36 @@ class PreflexibleHull(ControlledComplex):
             return False
         return self._dhat.is_controlled(r)
 
-    def _flexible_space_structural(self) -> bool:
+    def structural_flexibility(self) -> bool:
         return self.graph.vertices == self._flexible
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
+    def support_upper(self) -> Support:
         return self._dhat.support_upper()
+
+    def recipe(self) -> Recipe:
+        return ("pf", (self.base,), None)
 
 
 def reflect_pf(X: ControlledComplex) -> PreflexibleHull:
     return PreflexibleHull(X)
 
 
+def _strip_boundary(g: Route) -> Iterator[Route]:
+    """g with each nonempty subset of its boundary dwells removed."""
+    boundary = sorted(g.dwells & {0, len(g.edges)})
+    for k in range(1, len(boundary) + 1):
+        for drop in itertools.combinations(boundary, k):
+            yield Route(g.start, g.end, g.edges, g.dwells - set(drop))
+
+
 def reflect_bf(X: ControlledComplex) -> PresentedComplex:
     """Border-flexible rewrite: strip every subset of boundary dwells from
     each generator and close again.  Originals stay (empty subset)."""
     gens = _presented_or_raise(X, "the border-flexible rewrite")
-    new: set[Route] = set()
+    new = set(gens)
     for g in gens:
-        boundary = g.dwells & {0, len(g.edges)}
-        for k in range(len(boundary) + 1):
-            for drop in itertools.combinations(sorted(boundary), k):
-                new.add(Route(g.start, g.end, g.edges, g.dwells - set(drop)))
-    return PresentedComplex(X.graph, new, X.cells, tag="reflected")
+        new.update(_strip_boundary(g))
+    return PresentedComplex.derived("bf", X, X.graph, new, X.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +761,7 @@ def preflexibility(X: ControlledComplex, bound: int) -> PreflexibilityReport:
     monotone under dwell insertion), so only they are tested.  Refutation
     is exact; confirmation holds up to the bound.
     """
+    check_bound(bound)
     dhat = reflect_dhat(X)
     flex = X.flexible
     for start in sorted(flex, key=idkey):
@@ -772,14 +792,8 @@ def border_flexibility(X: ControlledComplex) -> BorderFlexibilityReport:
     stripped stays controlled.  Generators suffice because a stripped
     concatenation re-decomposes through the stripped generators."""
     gens = _presented_or_raise(X, "border flexibility")
-    witnesses: list[Route] = []
-    for g in sorted(gens, key=Route.sort_key):
-        boundary = g.dwells & {0, len(g.edges)}
-        for k in range(1, len(boundary) + 1):
-            for drop in itertools.combinations(sorted(boundary), k):
-                stripped = Route(g.start, g.end, g.edges, g.dwells - set(drop))
-                if not X.is_controlled(stripped):
-                    witnesses.append(stripped)
+    witnesses = [s for g in sorted(gens, key=Route.sort_key)
+                 for s in _strip_boundary(g) if not X.is_controlled(s)]
     return BorderFlexibilityReport(not witnesses, tuple(witnesses))
 
 
@@ -811,6 +825,7 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     to live in the d-space, since any restriction of a controlled route
     does.  Returns witnesses or the first failure.
     """
+    check_bound(bound)
     if not preflexibility(X, bound).holds:
         return MiddleRestrictionReport(False, False, bound, 0, ())
     dhat = reflect_dhat(X)

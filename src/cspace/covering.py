@@ -15,7 +15,7 @@ as skipped rather than failed.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ControlledComplex,
@@ -23,6 +23,7 @@ from .core import (
     Route,
     StructureError,
     VertexId,
+    check_bound,
     enumerate_routes,
     idkey,
     render_id,
@@ -192,6 +193,7 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     up to the bound from every fibre point.  Lifts that run off through
     an excluded vertex are skipped, not failed.
     """
+    check_bound(bound)
     tg, bg = p.total.graph, p.base.graph
     witnesses: list[str] = []
 

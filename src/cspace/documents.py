@@ -2,10 +2,10 @@
 
 A presented complex with string ids serializes to a plain document:
 schema marker, vertices, edges, generators, cells, canonically sorted.
-Derived complexes that carry no presentation of their own (products,
-sums, substructures, the two oracle-backed reflectors) serialize as a
-recipe wrapping the documents of their parts, and parsing a recipe
-replays the construction.  All errors carry the JSON field path.
+Any other complex serializes as the recipe it declares: the operation
+name wrapping the documents of its parts, and parsing a recipe replays
+the construction through one operation table.  All errors carry the
+JSON field path.
 """
 from __future__ import annotations
 
@@ -15,28 +15,19 @@ from collections.abc import Mapping
 from .core import (
     ControlledComplex,
     CspaceError,
-    FlexiblePart,
     Graph,
     InvalidRouteError,
-    PreflexibleHull,
     PresentedComplex,
     Route,
     SquareCell,
     StructureError,
     idkey,
+    reflect_bf,
+    reflect_dhat,
     reflect_fl,
     reflect_pf,
 )
-from .spaces import (
-    ProductComplex,
-    RestrictedComplex,
-    SumComplex,
-    full_substructure,
-    opposite,
-    product,
-    sum_complex,
-    symmetrize,
-)
+from .spaces import full_substructure, opposite, product, sum_complex, symmetrize
 
 __all__ = [
     "DocumentError",
@@ -103,6 +94,13 @@ def _route_from(doc: Mapping, graph: Graph, path: str, dwells_allowed: bool) -> 
 
 def parse_complex(doc: Mapping) -> ControlledComplex:
     """Build a complex from a parsed JSON document or recipe."""
+    try:
+        return _parse(doc)
+    except RecursionError:
+        raise DocumentError("recipe", "nesting is too deep") from None
+
+
+def _parse(doc: Mapping) -> ControlledComplex:
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
     for key in doc:
@@ -161,42 +159,45 @@ def parse_complex(doc: Mapping) -> ControlledComplex:
     return PresentedComplex(graph, generators, cells)
 
 
+# op -> (parts, constructor).  One part is read from "base", two from
+# "args"; "restrict" also takes the kept vertices.  Constructors are looked
+# up when called, so a replaced module attribute is seen.
+_OPS = {
+    "product": (2, lambda left, right: product(left, right)),
+    "sum": (2, lambda left, right: sum_complex(left, right)),
+    "op": (1, lambda base: opposite(base)),
+    "symmetrize": (1, lambda base: symmetrize(base)),
+    "fl": (1, lambda base: reflect_fl(base)),
+    "pf": (1, lambda base: reflect_pf(base)),
+    "dhat": (1, lambda base: reflect_dhat(base)),
+    "bf": (1, lambda base: reflect_bf(base)),
+    "restrict": (1, lambda base, keep: full_substructure(base, keep)),
+}
+
+
 def _parse_recipe(recipe, path: str) -> ControlledComplex:
     if not isinstance(recipe, dict):
         raise DocumentError(path, "expected an object")
     op = _need(recipe, "op", path, str, "an operation name")
-    if op in ("product", "sum"):
+    if op not in _OPS:
+        raise DocumentError(f"{path}.op", f"unknown operation {op!r}")
+    arity, build = _OPS[op]
+    if arity == 2:
         args = _need(recipe, "args", path, list, "a list of two documents")
         if len(args) != 2:
             raise DocumentError(f"{path}.args", "expected exactly two documents")
-        left = parse_complex(args[0])
-        right = parse_complex(args[1])
-        return product(left, right) if op == "product" else sum_complex(left, right)
-    base = parse_complex(_need(recipe, "base", path, dict, "a document"))
-    if op == "op":
-        return opposite(base)
-    if op == "symmetrize":
-        return symmetrize(base)
-    if op == "fl":
-        return reflect_fl(base)
-    if op == "pf":
-        return reflect_pf(base)
-    if op == "restrict":
-        keep = _need(recipe, "keep", path, list, "a list of vertex ids")
-        try:
-            return full_substructure(base, {decode_id(v) for v in keep})
-        except StructureError as err:
-            raise DocumentError(f"{path}.keep", str(err)) from None
-    raise DocumentError(f"{path}.op", f"unknown operation {op!r}")
+        return build(_parse(args[0]), _parse(args[1]))
+    base = _parse(_need(recipe, "base", path, dict, "a document"))
+    if op != "restrict":
+        return build(base)
+    keep = _need(recipe, "keep", path, list, "a list of vertex ids")
+    try:
+        return build(base, {decode_id(v) for v in keep})
+    except StructureError as err:
+        raise DocumentError(f"{path}.keep", str(err)) from None
 
 
 def _plain_document(X: ControlledComplex) -> dict:
-    gens = X.generators
-    ids = set(X.graph.vertices) | set(X.graph.edge_ids)
-    if not all(isinstance(i, str) for i in ids):
-        raise StructureError(
-            "cannot serialize: ids are not strings and no recipe is recorded"
-        )
     return {
         "schema": 1,
         "vertices": sorted(X.graph.vertices, key=idkey),
@@ -206,7 +207,7 @@ def _plain_document(X: ControlledComplex) -> dict:
         ],
         "generators": [
             {"start": g.start, "edges": list(g.edges), "dwells": sorted(g.dwells)}
-            for g in sorted(gens, key=Route.sort_key)
+            for g in sorted(X.generators, key=Route.sort_key)
         ],
         "cells": [
             {"start": c.left.start, "left": list(c.left.edges), "right": list(c.right.edges)}
@@ -216,47 +217,27 @@ def _plain_document(X: ControlledComplex) -> dict:
 
 
 def serialize_complex(X: ControlledComplex) -> dict:
-    """Canonical document for a presented complex, or a recipe for a
-    derived one."""
-    if isinstance(X, ProductComplex):
-        return {
-            "schema": 1,
-            "recipe": {
-                "op": "product",
-                "args": [serialize_complex(X.left), serialize_complex(X.right)],
-            },
-        }
-    if isinstance(X, SumComplex):
-        return {
-            "schema": 1,
-            "recipe": {
-                "op": "sum",
-                "args": [serialize_complex(X.left), serialize_complex(X.right)],
-            },
-        }
-    if isinstance(X, RestrictedComplex):
-        return {
-            "schema": 1,
-            "recipe": {
-                "op": "restrict",
-                "base": serialize_complex(X.base),
-                "keep": [encode_id(v) for v in sorted(X.keep, key=idkey)],
-            },
-        }
-    if isinstance(X, FlexiblePart):
-        return {"schema": 1, "recipe": {"op": "fl", "base": serialize_complex(X.base)}}
-    if isinstance(X, PreflexibleHull):
-        return {"schema": 1, "recipe": {"op": "pf", "base": serialize_complex(X.base)}}
-    if X.generators is None:
-        raise StructureError("cannot serialize an oracle-backed complex of this shape")
-    try:
+    """Canonical document for a presented complex with string ids, or the
+    recipe the complex declares."""
+    if X.generators is not None and all(
+        isinstance(i, str) for i in X.graph.vertices | X.graph.edge_ids
+    ):
         return _plain_document(X)
-    except StructureError:
-        recipe = getattr(X, "recipe", None)
-        if recipe is not None:
-            op, base = recipe
-            return {"schema": 1, "recipe": {"op": op, "base": serialize_complex(base)}}
-        raise
+    recipe = X.recipe()
+    if recipe is None:
+        if X.generators is None:
+            raise StructureError("cannot serialize an oracle-backed complex of this shape")
+        raise StructureError("cannot serialize: ids are not strings and no recipe is recorded")
+    op, parts, keep = recipe
+    body: dict = {"op": op}
+    docs = [serialize_complex(part) for part in parts]
+    if len(docs) == 2:
+        body["args"] = docs
+    else:
+        body["base"] = docs[0]
+    if keep is not None:
+        body["keep"] = [encode_id(v) for v in sorted(keep, key=idkey)]
+    return {"schema": 1, "recipe": body}
 
 
 def canonical_json(doc: dict) -> str:
@@ -269,6 +250,8 @@ def load_complex(path: str) -> ControlledComplex:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise DocumentError(path, f"not valid JSON: {err}") from None
+        except RecursionError:
+            raise DocumentError(path, "not valid JSON: nesting is too deep") from None
     return parse_complex(doc)
 
 

@@ -26,6 +26,7 @@ from .core import (
     Route,
     StructureError,
     VertexId,
+    check_bound,
     idkey,
     reflect_dhat,
     reflect_fl,
@@ -124,7 +125,6 @@ class FundamentalCategory:
         self._bound = bound
         self._possibly_incomplete = possibly_incomplete
         self._by_label: dict[Label, int] = {}
-        self._homs: dict[tuple[VertexId, VertexId], tuple[int, ...]] = {}
         grouped: dict[tuple[VertexId, VertexId], list[int]] = {}
         for a in self._arrows:
             for lab in a.labels:
@@ -263,8 +263,7 @@ def _apply_moves(
 
 def pi1(X: ControlledComplex, bound: int) -> FundamentalCategory:
     """Truncated fundamental category at the given length bound."""
-    if bound < 0:
-        raise StructureError("bound must be >= 0")
+    check_bound(bound)
     labels = _realizable_labels(X, bound)
     uf = _apply_moves(X, labels, bound)
     groups: dict[Label, list[Label]] = {}

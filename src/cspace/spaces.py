@@ -16,12 +16,16 @@ from .core import (
     EdgeId,
     Graph,
     PresentedComplex,
+    Recipe,
     Route,
     SquareCell,
     StructureError,
+    Support,
     VertexId,
     idkey,
     is_flexible_route,
+    is_flexible_space,
+    path_support,
     render_id,
 )
 
@@ -283,16 +287,12 @@ class ProductComplex(ControlledComplex):
             self.project_right(r)
         )
 
-    def _flexible_space_structural(self) -> bool:
+    def structural_flexibility(self) -> bool:
         if not self.graph.vertices:
             return True
-        from .core import is_flexible_space
-
         return is_flexible_space(self.left) and is_flexible_space(self.right)
 
-    def _path_support(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        from .core import path_support
-
+    def path_support(self) -> Support:
         lv, le = path_support(self.left)
         rv, re = path_support(self.right)
         verts = frozenset((x, y) for x in lv for y in rv)
@@ -300,8 +300,10 @@ class ProductComplex(ControlledComplex):
         edges |= {_v_edge(x, f) for x in lv for f in re}
         return verts, frozenset(edges)
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        return self._path_support()
+    support_upper = path_support
+
+    def recipe(self) -> Recipe:
+        return ("product", (self.left, self.right), None)
 
 
 def product(left: ControlledComplex, right: ControlledComplex) -> ProductComplex:
@@ -378,26 +380,24 @@ class SumComplex(ControlledComplex):
         target = self.left if side == "L" else self.right
         return target.is_controlled(plain)
 
-    def _flexible_space_structural(self) -> bool:
-        from .core import is_flexible_space
-
+    def structural_flexibility(self) -> bool:
         return is_flexible_space(self.left) and is_flexible_space(self.right)
 
-    def _path_support(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        from .core import path_support
-
-        lv, le = path_support(self.left)
-        rv, re = path_support(self.right)
+    @staticmethod
+    def _tag_support(left: Support, right: Support) -> Support:
+        (lv, le), (rv, re) = left, right
         verts = {tag_left(v) for v in lv} | {tag_right(v) for v in rv}
         edges = {("L", e) for e in le} | {("R", e) for e in re}
         return frozenset(verts), frozenset(edges)
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
-        lv, le = self.left.support_upper()
-        rv, re = self.right.support_upper()
-        verts = {tag_left(v) for v in lv} | {tag_right(v) for v in rv}
-        edges = {("L", e) for e in le} | {("R", e) for e in re}
-        return frozenset(verts), frozenset(edges)
+    def path_support(self) -> Support:
+        return self._tag_support(path_support(self.left), path_support(self.right))
+
+    def support_upper(self) -> Support:
+        return self._tag_support(self.left.support_upper(), self.right.support_upper())
+
+    def recipe(self) -> Recipe:
+        return ("sum", (self.left, self.right), None)
 
 
 def sum_complex(left: ControlledComplex, right: ControlledComplex) -> SumComplex:
@@ -428,7 +428,7 @@ def opposite(X: ControlledComplex) -> ControlledComplex:
             SquareCell(_reverse_route(X, c.left), _reverse_route(X, c.right))
             for c in X.cells
         }
-        return PresentedComplex(graph, new_gens, cells, tag=X.tag, recipe=("op", X))
+        return PresentedComplex.derived("op", X, graph, new_gens, cells)
     if isinstance(X, ProductComplex):
         return product(opposite(X.left), opposite(X.right))
     if isinstance(X, SumComplex):
@@ -463,8 +463,11 @@ class RestrictedComplex(ControlledComplex):
             return False
         return self.base.is_controlled(r)
 
-    def support_upper(self) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
+    def support_upper(self) -> Support:
         return self.base.support_upper()
+
+    def recipe(self) -> Recipe:
+        return ("restrict", (self.base,), self.keep)
 
 
 def full_substructure(X: ControlledComplex, keep: Iterable[VertexId]) -> RestrictedComplex:
@@ -562,7 +565,7 @@ def quotient(X: ControlledComplex, spec: QuotientSpec) -> PresentedComplex:
         right = image(c.right).strip_dwells()
         if left != right:
             new_cells.add(SquareCell(left, right))
-    return PresentedComplex(graph, new_gens, new_cells, tag="quotient image")
+    return PresentedComplex(graph, new_gens, new_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +608,7 @@ def symmetrize(X: ControlledComplex) -> PresentedComplex:
         gens.add(Route(d, s, (r,)))
         cells.add(SquareCell(Route(s, s, (e, r)), Route.constant(s)))
         cells.add(SquareCell(Route(d, d, (r, e)), Route.constant(d)))
-    return PresentedComplex(graph, gens, cells, tag="generator-backed", recipe=("symmetrize", X))
+    return PresentedComplex.derived("symmetrize", X, graph, gens, cells)
 
 
 def reversible_cancellation(
@@ -637,4 +640,4 @@ def reversible_cancellation(
     cells.add(SquareCell(Route(s, s, (e, e_reverse)), Route.constant(s)))
     cells.add(SquareCell(Route(d, d, (e_reverse, e)), Route.constant(d)))
     edges = {eid: X.graph.endpoints(eid) for eid in X.graph.edge_ids}
-    return PresentedComplex(Graph(X.graph.vertices, edges), gens, cells, tag=X.tag)
+    return PresentedComplex(Graph(X.graph.vertices, edges), gens, cells)

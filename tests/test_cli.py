@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cspace.cli import run_command
+from cspace.documents import canonical_json, load_complex, serialize_complex
 
 
 @pytest.fixture()
@@ -99,6 +100,13 @@ class TestCheck:
         assert code == 1
         assert "hom(0,0)" in text
 
+    def test_negative_bound_is_an_input_error(self, tmp_path):
+        path = str(tmp_path / "dm.ctop")
+        run_command(["new", "interval-delayed-minus", "-o", path])
+        for prop in ("preflexible", "flexible", "one-simple"):
+            code, text = run_command(["check", path, prop, "--bound", "-3"])
+            assert (code, text) == (2, "error: bound must be >= 0")
+
     def test_missing_bound_is_a_usage_error(self, ci_file):
         code, text = run_command(["check", ci_file, "preflexible"])
         assert code == 2
@@ -132,6 +140,28 @@ class TestConstructions:
         assert run_command(["quotient", path, "--spec", str(spec), "-o", out])[0] == 0
         code, text = run_command(["check", out, "border-flexible"])
         assert code == 1
+
+    def test_report_on_oracle_backed_documents(self, tmp_path, ci_file):
+        for args in (["reflect", ci_file, "fl"], ["reflect", ci_file, "pf"],
+                     ["restrict", ci_file, "--keep", "0,1"]):
+            out = str(tmp_path / "derived.ctop")
+            assert run_command(args + ["-o", out])[0] == 0
+            code, text = run_command(["report", out, "--bound", "3"])
+            assert code == 0, text
+            assert ("path support: not available (needs a generator presentation)"
+                    in text.splitlines())
+
+    def test_reflected_sums_round_trip_through_documents(self, tmp_path, ci_file):
+        summed = str(tmp_path / "sum.ctop")
+        assert run_command(["sum", ci_file, ci_file, "-o", summed])[0] == 0
+        for which in ("dhat", "bf"):
+            out = str(tmp_path / f"{which}.ctop")
+            code, text = run_command(["reflect", summed, which, "-o", out])
+            assert code == 0, text
+            with open(out, encoding="utf-8") as fh:
+                written = fh.read()
+            assert json.loads(written)["recipe"]["op"] == which
+            assert canonical_json(serialize_complex(load_complex(out))) == written
 
     def test_opposite_swaps_hom_direction(self, tmp_path, ci_file):
         out = str(tmp_path / "op.ctop")
@@ -167,6 +197,12 @@ class TestCovering:
         assert "base classes: 6; total classes: 6" in text
         assert "bijection: yes (bound 5)" in text
 
+    def test_negative_bound_is_an_input_error(self):
+        code, text = run_command([
+            "cover-validate", "--exponential", "2", "--window", "4", "--bound", "-2",
+        ])
+        assert (code, text) == (2, "error: bound must be >= 0")
+
     def test_exponential_needs_its_window(self):
         code, text = run_command(
             ["cover-validate", "--exponential", "1", "--bound", "3"]
@@ -196,5 +232,13 @@ class TestUsage:
     def test_missing_files_exit_two(self):
         assert run_command(["pi1", "/does/not/exist.ctop", "--bound", "2"])[0] == 2
 
-    def test_seed_flag_is_accepted(self, ci_file):
-        assert run_command(["--seed", "7", "pi1", ci_file, "--bound", "2"])[0] == 0
+    def test_deeply_nested_recipes_exit_two(self, tmp_path, ci_file):
+        with open(ci_file, encoding="utf-8") as fh:
+            text = fh.read()
+        for _ in range(600):
+            text = '{"schema": 1, "recipe": {"op": "op", "base": ' + text + "}}"
+        path = tmp_path / "deep.ctop"
+        path.write_text(text)
+        code, out = run_command(["pi1", str(path), "--bound", "2"])
+        assert code == 2
+        assert out.startswith("document error: ") and "nesting is too deep" in out

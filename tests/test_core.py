@@ -14,7 +14,6 @@ from cspace import (
     StructureError,
     border_flexibility,
     check_middle_restriction,
-    flexible_vertices,
     has_total_path_support,
     idkey,
     is_border_flexible,
@@ -41,7 +40,8 @@ from cspace.spaces import diagonal_square, interval_c, line_c, rigid_line
 class TestRoute:
     def test_constant_routes_discard_dwells(self):
         assert Route("v", "v", (), frozenset({0})).dwells == frozenset()
-        assert Route.constant("v").is_constant
+        assert Route.constant("v").is_constant()
+        assert not Route("0", "1", ("e",)).is_constant()
 
     def test_dwell_positions_are_bounded_by_the_word_length(self):
         Route("0", "1", ("e",), frozenset({0, 1}))
@@ -147,8 +147,8 @@ class TestMembership:
         assert not X.is_controlled(Route.constant("1"))
 
     def test_flexible_vertices_are_the_generator_endpoints(self, middle_delay):
-        assert flexible_vertices(middle_delay) == frozenset({"0", "1"})
-        assert flexible_vertices(rigid_line(2)) == frozenset({"0", "2"})
+        assert middle_delay.flexible == frozenset({"0", "1"})
+        assert rigid_line(2).flexible == frozenset({"0", "2"})
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,19 @@ class TestOracleComparison:
         g = Graph(["0", "1"], {"e": ("0", "1")})
         with pytest.raises(InvalidRouteError):
             PresentedComplex(g, {Route("0", "1", ("f",))})
+
+    def test_negative_bounds_are_rejected_everywhere(self, ci):
+        from cspace import full_substructure
+
+        restricted = full_substructure(ci, ["0", "1"])
+        for call in (
+            lambda: preflexibility(ci, -3),
+            lambda: check_middle_restriction(ci, -1),
+            lambda: oracle_equivalent(ci, ci, -1),
+            lambda: is_flexible_space(restricted, -2),
+        ):
+            with pytest.raises(StructureError, match="bound must be >= 0"):
+                call()
 
     def test_structure_errors_name_the_missing_presentation(self, ci, cj):
         from cspace import product

@@ -127,6 +127,11 @@ class TestValidation:
         assert not report.star_ok
 
 
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(StructureError, match="bound must be >= 0"):
+            validate_covering(exponential_cover(2, 4), -2)
+
+
 class TestLiftingBijection:
     def test_one_stop_circle_window_five(self):
         p = exponential_cover(1, 5)

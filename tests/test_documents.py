@@ -18,7 +18,7 @@ from cspace import (
     sum_complex,
     symmetrize,
 )
-from cspace.core import reflect_fl, reflect_pf
+from cspace.core import reflect_bf, reflect_dhat, reflect_fl, reflect_pf
 from cspace.documents import decode_id, encode_id
 from conftest import build_corpus
 
@@ -75,6 +75,20 @@ class TestRecipeRoundTrip:
             assert Y.flexible == X.flexible
             assert serialize_complex(Y) == doc
 
+    def test_reflected_sums_serialize_as_dhat_and_bf_recipes(self, ci, delayed_minus):
+        S = sum_complex(ci, delayed_minus)
+        for op, reflect in (("dhat", reflect_dhat), ("bf", reflect_bf)):
+            X = reflect(S)
+            doc = serialize_complex(X)
+            assert doc["recipe"]["op"] == op
+            Y = parse_complex(doc)
+            assert Y.generators == X.generators
+            assert serialize_complex(Y) == doc
+
+    def test_string_id_reflections_stay_plain_documents(self, delayed_minus):
+        for reflect in (reflect_dhat, reflect_bf):
+            assert "recipe" not in serialize_complex(reflect(delayed_minus))
+
     def test_tuple_ids_survive_the_recipe_encoding(self, ci):
         S = sum_complex(ci, ci)
         R = full_substructure(S, [("L", "0"), ("L", "1")])
@@ -112,6 +126,18 @@ class TestDiagnostics:
         doc = serialize_complex(ci)
         doc["generators"][0]["dwells"] = [7]
         with pytest.raises(DocumentError, match=r"generators\[0\]"):
+            parse_complex(doc)
+
+    def test_unknown_recipe_operations_name_the_field(self, ci):
+        doc = {"schema": 1, "recipe": {"op": "twist", "base": serialize_complex(ci)}}
+        with pytest.raises(DocumentError, match=r"recipe\.op: unknown operation 'twist'"):
+            parse_complex(doc)
+
+    def test_deeply_nested_recipes_are_document_errors(self, ci):
+        doc = serialize_complex(ci)
+        for _ in range(5000):
+            doc = {"schema": 1, "recipe": {"op": "op", "base": doc}}
+        with pytest.raises(DocumentError, match="nesting is too deep"):
             parse_complex(doc)
 
     def test_files_that_are_not_json_fail_cleanly(self, tmp_path):
