@@ -235,8 +235,8 @@ def _cmd_reflect(args) -> tuple[int, str]:
     return 0, _emit(reflector(X), args.output)
 
 
-def _check_flexible(X, bound) -> tuple[int, str]:
-    if is_flexible_space(X, bound):
+def _check_flexible(X) -> tuple[int, str]:
+    if is_flexible_space(X):
         return 0, "flexible: yes"
     lines = ["flexible: no"]
     stiff = sorted(X.graph.vertices - X.flexible, key=idkey)
@@ -256,7 +256,7 @@ def _cmd_check(args) -> tuple[int, str]:
     if args.bound is not None:
         check_bound(args.bound)
     if prop == "flexible":
-        return _check_flexible(X, args.bound)
+        return _check_flexible(X)
     if prop == "preflexible":
         if args.bound is None:
             raise _UsageError("check preflexible needs --bound")
@@ -395,7 +395,7 @@ def _cmd_report(args) -> tuple[int, str]:
         lines.append("path support: total" if not any(missing) else
                      f"path support: partial (missing vertices: {missing[0] or '-'}; "
                      f"edges: {missing[1] or '-'})")
-    lines.append(f"flexible space: {'yes' if is_flexible_space(X, bound) else 'no'}")
+    lines.append(f"flexible space: {'yes' if is_flexible_space(X) else 'no'}")
     try:
         bf = border_flexibility(X)
         lines.append(f"border flexible: {'yes' if bf.holds else 'no'}")

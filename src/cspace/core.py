@@ -418,10 +418,12 @@ class ControlledComplex:
         """Superset of the path support; used for truncation flags."""
         return self._graph.vertices, self._graph.edge_ids
 
-    def structural_flexibility(self) -> bool | None:
-        """Exact flexible-space verdict from the kind's structure, or None
-        when only a bounded check over routes can decide."""
-        return None
+    def structural_flexibility(self) -> bool:
+        """Exact flexible-space verdict from the kind's structure.
+
+        ``is_flexible_space`` checks the vertices first, so a kind may
+        assume that every vertex is flexible."""
+        raise NotImplementedError
 
     def recipe(self) -> Recipe | None:
         """The construction that rebuilds this complex, if it has one."""
@@ -499,6 +501,11 @@ class PresentedComplex(ControlledComplex):
                     break
         return ok[n]
 
+    def structural_flexibility(self) -> bool:
+        """Generators suffice: flexibility is closed under concatenation
+        and dwell insertion."""
+        return all(is_flexible_route(self, g) for g in self._generators)
+
     def path_support(self) -> Support:
         """The union over generators."""
         verts: set[VertexId] = set()
@@ -521,31 +528,14 @@ def is_flexible_route(X: ControlledComplex, r: Route) -> bool:
     return all(X.is_controlled(s) for s in X.graph.subroutes(r))
 
 
-def is_flexible_space(X: ControlledComplex, bound: int | None = None) -> bool:
+def is_flexible_space(X: ControlledComplex) -> bool:
     """All vertices flexible and all controlled routes flexible.
 
-    Exact for presented complexes (generators suffice: flexibility is
-    closed under concatenation and dwell insertion).  Products and sums
-    delegate to their factors.  Other oracle-backed complexes need a
-    ``bound`` and get a bounded verdict over all routes up to it.
+    Exact for every kind: presented complexes check their generators,
+    products and sums their factors, full substructures their base, and
+    the flexible part and preflexible hull hold by construction.
     """
-    if X.graph.vertices != X.flexible:
-        return False
-    gens = X.generators
-    if gens is not None:
-        return all(is_flexible_route(X, g) for g in gens)
-    verdict = X.structural_flexibility()
-    if verdict is not None:
-        return verdict
-    if bound is None:
-        raise StructureError(
-            "flexibility of this complex needs a bound (no generator presentation)"
-        )
-    check_bound(bound)
-    for r in enumerate_routes(X.graph, bound):
-        if X.is_controlled(r) and not is_flexible_route(X, r):
-            return False
-    return True
+    return X.graph.vertices == X.flexible and X.structural_flexibility()
 
 
 def path_support(X: ControlledComplex) -> Support:
@@ -628,13 +618,24 @@ def _presented_or_raise(X: ControlledComplex, what: str) -> frozenset[Route]:
     return gens
 
 
+def _dhat_graph(X: ControlledComplex) -> Graph:
+    """The generated d-space as a graph: every vertex and each edge that
+    lies on a generator.  Each such edge is a dwell-free generator of
+    ``reflect_dhat(X)``, so the routes of this graph, with any dwells, are
+    exactly the d-space routes; walking it needs no membership DP."""
+    gens = _presented_or_raise(X, "the generated d-space")
+    used = {e for g in gens for e in g.edges}
+    return Graph(X.graph.vertices, {e: X.graph.endpoints(e) for e in used})
+
+
 def reflect_dhat(X: ControlledComplex) -> PresentedComplex:
     """Generated d-space: dwell-insensitive closure under restriction.
 
     Materialized as a presentation: every nonempty contiguous subword of
     a generator word becomes a dwell-free generator, and every vertex
     gets a constant generator, so all vertices are flexible and reapplying
-    the reflector is literally the identity on presentations.
+    the reflector is literally the identity on presentations.  Its routes
+    are those of ``_dhat_graph(X)``, which the bounded checks walk instead.
     """
     gens = _presented_or_raise(X, "the generated d-space")
     new: set[Route] = set()
@@ -691,27 +692,28 @@ def reflect_fl(X: ControlledComplex) -> ControlledComplex:
 
 
 class PreflexibleHull(ControlledComplex):
-    """Preflexible reflection: dhat membership between flexible endpoints."""
+    """Preflexible reflection: d-space routes between flexible endpoints,
+    that is, every edge on a generator of the base."""
 
     tag = "reflected"
 
     def __init__(self, base: ControlledComplex) -> None:
         if isinstance(base, PreflexibleHull):
             base = base.base
-        self._dhat = reflect_dhat(base)
+        self._dhat = _dhat_graph(base)
         super().__init__(base.graph, base.cells, base.flexible)
         self.base = base
 
     def _decide(self, r: Route) -> bool:
         if r.start not in self._flexible or r.end not in self._flexible:
             return False
-        return self._dhat.is_controlled(r)
+        return all(self._dhat.has_edge(e) for e in r.edges)
 
     def structural_flexibility(self) -> bool:
         return self.graph.vertices == self._flexible
 
     def support_upper(self) -> Support:
-        return self._dhat.support_upper()
+        return self._dhat.vertices, self._dhat.edge_ids
 
     def recipe(self) -> Recipe:
         return ("pf", (self.base,), None)
@@ -762,14 +764,14 @@ def preflexibility(X: ControlledComplex, bound: int) -> PreflexibilityReport:
     is exact; confirmation holds up to the bound.
     """
     check_bound(bound)
-    dhat = reflect_dhat(X)
+    dhat = _dhat_graph(X)
     flex = X.flexible
     for start in sorted(flex, key=idkey):
-        for word, end in X.graph.iter_words(start, bound):
+        for word, end in dhat.iter_words(start, bound):
             if not word or end not in flex:
                 continue
             r = Route(start, end, word)
-            if dhat.is_controlled(r) and not X.is_controlled(r):
+            if not X.is_controlled(r):
                 return PreflexibilityReport(False, bound, r)
     return PreflexibilityReport(True, bound)
 
@@ -828,44 +830,31 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     check_bound(bound)
     if not preflexibility(X, bound).holds:
         return MiddleRestrictionReport(False, False, bound, 0, ())
-    dhat = reflect_dhat(X)
+    flex = X.flexible
     support_verts, _ = path_support(X)
-
-    def words_into(v: VertexId) -> list[Route]:
-        """Maximally dwelled d-space routes from a flexible start to v.
-
-        Max decoration never hurts: membership is dwell-monotone, and the
-        middle restriction drops the span-boundary dwells anyway.
-        """
-        out = [Route.constant(v)] if v in X.flexible else []
-        for start in sorted(X.flexible, key=idkey):
-            for word, end in X.graph.iter_words(start, bound):
-                if word and end == v and dhat.is_controlled(Route(start, end, word)):
-                    out.append(Route(start, end, word, frozenset(range(len(word) + 1))))
-        return out
-
-    def words_from(v: VertexId) -> list[Route]:
-        out = [Route.constant(v)] if v in X.flexible else []
-        for word, end in X.graph.iter_words(v, bound):
-            if word and end in X.flexible and dhat.is_controlled(Route(v, end, word)):
-                out.append(Route(v, end, word, frozenset(range(len(word) + 1))))
-        return out
-
-    targets: list[Route] = []
-    for v in sorted(support_verts, key=idkey):
-        targets.append(Route.constant(v))
-    for start in sorted(X.graph.vertices, key=idkey):
-        for word, end in X.graph.iter_words(start, bound):
-            if word and dhat.is_controlled(Route(start, end, word)):
-                targets.append(Route(start, end, word))
+    targets = [Route.constant(v) for v in sorted(support_verts, key=idkey)]
+    # prolongations by the end they meet the target at, maximally dwelled:
+    # membership is dwell-monotone, and the middle restriction drops the
+    # span-boundary dwells anyway
+    into: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
+    out_of: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
+    for start, word, end in enumerate_words(_dhat_graph(X), bound):
+        if not word:
+            continue
+        targets.append(Route(start, end, word))
+        dwelled = Route(start, end, word, frozenset(range(len(word) + 1)))
+        if start in flex:
+            into.setdefault(end, []).append(dwelled)
+        if end in flex:
+            out_of.setdefault(start, []).append(dwelled)
 
     witnesses: list[tuple[Route, Route, Route]] = []
     for r in targets:
         # r is tested verbatim: a dwell-free middle is the strictest
         # decoration, and dwell insertion recovers every other one.
         found = None
-        for b1 in words_into(r.start):
-            for b2 in words_from(r.end):
+        for b1 in into.get(r.start, ()):
+            for b2 in out_of.get(r.end, ()):
                 cand = route_concat(route_concat(b1, r), b2)
                 if X.is_controlled(cand):
                     found = (b1, r, b2)

@@ -188,13 +188,6 @@ class FundamentalCategory:
     def is_preorder(self) -> bool:
         return all(len(v) <= 1 for v in self._homs.values())
 
-    def describe(self) -> str:
-        flag = "yes" if self._possibly_incomplete else "no"
-        return (
-            f"{len(self._objects)} objects, {len(self._arrows)} arrows, "
-            f"bound {self._bound}, possibly incomplete: {flag}"
-        )
-
 
 def _support_truncated(X: ControlledComplex, bound: int) -> bool:
     """True when controlled routes may outrun the bound: the support graph

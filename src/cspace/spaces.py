@@ -26,6 +26,8 @@ from .core import (
     is_flexible_route,
     is_flexible_space,
     path_support,
+    reflect_fl,
+    reflect_pf,
     render_id,
 )
 
@@ -292,15 +294,19 @@ class ProductComplex(ControlledComplex):
             return True
         return is_flexible_space(self.left) and is_flexible_space(self.right)
 
-    def path_support(self) -> Support:
-        lv, le = path_support(self.left)
-        rv, re = path_support(self.right)
+    @staticmethod
+    def _pair_support(left: Support, right: Support) -> Support:
+        (lv, le), (rv, re) = left, right
         verts = frozenset((x, y) for x in lv for y in rv)
         edges = {_h_edge(e, y) for e in le for y in rv}
         edges |= {_v_edge(x, f) for x in lv for f in re}
         return verts, frozenset(edges)
 
-    support_upper = path_support
+    def path_support(self) -> Support:
+        return self._pair_support(path_support(self.left), path_support(self.right))
+
+    def support_upper(self) -> Support:
+        return self._pair_support(self.left.support_upper(), self.right.support_upper())
 
     def recipe(self) -> Recipe:
         return ("product", (self.left, self.right), None)
@@ -416,7 +422,8 @@ def _reverse_route(X: ControlledComplex, r: Route) -> Route:
 
 
 def opposite(X: ControlledComplex) -> ControlledComplex:
-    """Reverse every edge; generator words reverse and dwells mirror."""
+    """Reverse every edge; generator words reverse and dwells mirror.
+    Without generators, rebuild the recipe from the opposites of its parts."""
     gens = X.generators
     if gens is not None:
         edges = {
@@ -429,11 +436,15 @@ def opposite(X: ControlledComplex) -> ControlledComplex:
             for c in X.cells
         }
         return PresentedComplex.derived("op", X, graph, new_gens, cells)
-    if isinstance(X, ProductComplex):
-        return product(opposite(X.left), opposite(X.right))
-    if isinstance(X, SumComplex):
-        return sum_complex(opposite(X.left), opposite(X.right))
-    raise StructureError("opposite needs a generator presentation or a product/sum shape")
+    recipe = X.recipe()
+    if recipe is None:
+        raise StructureError("opposite needs a generator presentation or a recipe")
+    op, parts, keep = recipe
+    flipped = [opposite(part) for part in parts]
+    if op == "restrict":
+        return full_substructure(flipped[0], keep)
+    build = {"product": product, "sum": sum_complex, "fl": reflect_fl, "pf": reflect_pf}
+    return build[op](*flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +473,10 @@ class RestrictedComplex(ControlledComplex):
         if r.start not in self.keep or r.end not in self.keep:
             return False
         return self.base.is_controlled(r)
+
+    def structural_flexibility(self) -> bool:
+        """Keeping every vertex controls exactly what the base controls."""
+        return is_flexible_space(self.base)
 
     def support_upper(self) -> Support:
         return self.base.support_upper()

@@ -107,6 +107,15 @@ class TestCheck:
             code, text = run_command(["check", path, prop, "--bound", "-3"])
             assert (code, text) == (2, "error: bound must be >= 0")
 
+    def test_flexibility_of_restricted_documents_needs_no_bound(self, tmp_path, ci_file):
+        kept = str(tmp_path / "kept.ctop")
+        run_command(["restrict", ci_file, "--keep", "0,1", "-o", kept])
+        assert run_command(["check", kept, "flexible"]) == (0, "flexible: yes")
+        delayed = str(tmp_path / "dm.ctop")
+        run_command(["new", "interval-delayed-minus", "-o", delayed])
+        run_command(["restrict", delayed, "--keep", "0,1", "-o", kept])
+        assert run_command(["check", kept, "flexible"]) == (1, "flexible: no")
+
     def test_missing_bound_is_a_usage_error(self, ci_file):
         code, text = run_command(["check", ci_file, "preflexible"])
         assert code == 2
@@ -162,6 +171,31 @@ class TestConstructions:
                 written = fh.read()
             assert json.loads(written)["recipe"]["op"] == which
             assert canonical_json(serialize_complex(load_complex(out))) == written
+
+    def test_sums_and_products_with_a_restricted_part(self, tmp_path, ci_file):
+        kept = str(tmp_path / "kept.ctop")
+        run_command(["restrict", ci_file, "--keep", "0,1", "-o", kept])
+        for op in ("sum", "product"):
+            out = str(tmp_path / f"{op}.ctop")
+            assert run_command([op, ci_file, kept, "-o", out])[0] == 0
+            code, text = run_command(["report", out, "--bound", "3"])
+            assert code == 0, text
+            assert "flexible space: yes" in text.splitlines()
+            code, text = run_command(["check", out, "flexible", "--bound", "3"])
+            assert (code, text) == (0, "flexible: yes")
+            code, text = run_command(["pi1", out, "--bound", "3"])
+            assert code == 0, text
+            assert "preorder: yes; truncated: no" in text.splitlines()[0]
+
+    def test_opposite_of_a_restricted_document(self, tmp_path, ci_file):
+        kept = str(tmp_path / "kept.ctop")
+        run_command(["restrict", ci_file, "--keep", "0,1", "-o", kept])
+        out = str(tmp_path / "op.ctop")
+        assert run_command(["op", kept, "-o", out])[0] == 0
+        assert load_complex(out).recipe()[0] == "restrict"
+        code, text = run_command(["hom", out, "1", "0", "--bound", "2"])
+        assert code == 0
+        assert text.splitlines() == ["classes: 1; truncated: no", "[e]"]
 
     def test_opposite_swaps_hom_direction(self, tmp_path, ci_file):
         out = str(tmp_path / "op.ctop")

@@ -170,6 +170,23 @@ class TestFlexibility:
         assert not is_flexible_space(delayed_minus)
         assert not is_flexible_space(middle_delay)
 
+    def test_flexible_space_verdicts_are_exact_for_every_kind(self, corpus):
+        from cspace import enumerate_routes, full_substructure, product, sum_complex
+
+        def by_routes(Y, bound):
+            return Y.graph.vertices == Y.flexible and all(
+                is_flexible_route(Y, r)
+                for r in enumerate_routes(Y.graph, bound) if Y.is_controlled(r)
+            )
+
+        for name, X in corpus.items():
+            kept = full_substructure(X, X.flexible)
+            one = full_substructure(X, [min(X.flexible, key=idkey)])
+            for Y in (X, kept, one, reflect_fl(X), reflect_pf(X),
+                      product(kept, interval_c()), sum_complex(interval_c(), kept)):
+                assert isinstance(Y.structural_flexibility(), bool)
+                assert is_flexible_space(Y) == by_routes(Y, 3), (name, Y.describe())
+
 
 class TestReflectors:
     def test_generated_structure_frees_every_infix(self, middle_delay):
@@ -285,14 +302,10 @@ class TestOracleComparison:
             PresentedComplex(g, {Route("0", "1", ("f",))})
 
     def test_negative_bounds_are_rejected_everywhere(self, ci):
-        from cspace import full_substructure
-
-        restricted = full_substructure(ci, ["0", "1"])
         for call in (
             lambda: preflexibility(ci, -3),
             lambda: check_middle_restriction(ci, -1),
             lambda: oracle_equivalent(ci, ci, -1),
-            lambda: is_flexible_space(restricted, -2),
         ):
             with pytest.raises(StructureError, match="bound must be >= 0"):
                 call()

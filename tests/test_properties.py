@@ -5,6 +5,8 @@ these tests cover additional algebraic laws at a faster setting.
 """
 from __future__ import annotations
 
+import functools
+
 from hypothesis import given
 
 from conftest import build_corpus
@@ -12,9 +14,13 @@ from oracles import brute_route_table
 from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
     Route,
+    check_middle_restriction,
     enumerate_routes,
+    idkey,
     oracle_equivalent,
+    path_support,
     pi1,
+    preflexibility,
     product,
     reflect_bf,
     reflect_dhat,
@@ -23,7 +29,72 @@ from cspace import (
     route_concat,
     route_insert_dwell,
 )
-from cspace.spaces import interval_c, interval_j, opposite
+from cspace.core import MiddleRestrictionReport, PreflexibilityReport
+from cspace.spaces import interval_c, interval_j, opposite, symmetrize
+
+
+def _walk_and_ask_preflexibility(X, bound):
+    """Preflexibility by walking every graph word and asking the
+    materialized generated d-space about each."""
+    dhat = reflect_dhat(X)
+    for start in sorted(X.flexible, key=idkey):
+        for word, end in X.graph.iter_words(start, bound):
+            if not word or end not in X.flexible:
+                continue
+            r = Route(start, end, word)
+            if dhat.is_controlled(r) and not X.is_controlled(r):
+                return PreflexibilityReport(False, bound, r)
+    return PreflexibilityReport(True, bound)
+
+
+def _walk_and_ask_middle_restriction(X, bound):
+    """Middle restriction with the prolongations walked per target vertex
+    (cached, so only one walk per vertex and direction)."""
+    if not _walk_and_ask_preflexibility(X, bound).holds:
+        return MiddleRestrictionReport(False, False, bound, 0, ())
+    dhat = reflect_dhat(X)
+
+    def in_dhat(start, word, end):
+        return dhat.is_controlled(Route(start, end, word))
+
+    def dwelled(start, word, end):
+        return Route(start, end, word, frozenset(range(len(word) + 1)))
+
+    @functools.cache
+    def words_into(v):
+        out = [Route.constant(v)] if v in X.flexible else []
+        for start in sorted(X.flexible, key=idkey):
+            for word, end in X.graph.iter_words(start, bound):
+                if word and end == v and in_dhat(start, word, end):
+                    out.append(dwelled(start, word, end))
+        return out
+
+    @functools.cache
+    def words_from(v):
+        out = [Route.constant(v)] if v in X.flexible else []
+        for word, end in X.graph.iter_words(v, bound):
+            if word and end in X.flexible and in_dhat(v, word, end):
+                out.append(dwelled(v, word, end))
+        return out
+
+    targets = [Route.constant(v) for v in sorted(path_support(X)[0], key=idkey)]
+    for start in sorted(X.graph.vertices, key=idkey):
+        for word, end in X.graph.iter_words(start, bound):
+            if word and in_dhat(start, word, end):
+                targets.append(Route(start, end, word))
+    witnesses = []
+    for r in targets:
+        found = next(
+            ((b1, r, b2) for b1 in words_into(r.start) for b2 in words_from(r.end)
+             if X.is_controlled(route_concat(route_concat(b1, r), b2))),
+            None,
+        )
+        if found is None:
+            return MiddleRestrictionReport(
+                True, False, bound, len(targets), tuple(witnesses), r
+            )
+        witnesses.append(found)
+    return MiddleRestrictionReport(True, True, bound, len(targets), tuple(witnesses))
 
 
 class TestClosureLaws:
@@ -96,6 +167,37 @@ class TestReflectorOrdering:
         for reflect in (reflect_dhat, reflect_fl, reflect_pf, reflect_bf):
             once = reflect(X)
             assert oracle_equivalent(reflect(once), once, 3)
+
+
+class TestGeneratedSpaceWalk:
+    """The bounded checks walk the generator edges instead of asking
+    ``reflect_dhat``; these are the facts and the equivalence that rest on."""
+
+    @given(complexes_with_route(max_len=4))
+    def test_generated_space_controls_exactly_the_generator_edge_routes(self, xr):
+        X, r = xr
+        used = {e for g in X.generators for e in g.edges}
+        assert reflect_dhat(X).is_controlled(r) == all(e in used for e in r.edges)
+
+    @given(complexes_with_route(max_len=4))
+    def test_preflexible_hull_is_the_generated_space_between_flexible_ends(self, xr):
+        X, r = xr
+        ends_flexible = {r.start, r.end} <= X.flexible
+        assert reflect_pf(X).is_controlled(r) == (
+            ends_flexible and reflect_dhat(X).is_controlled(r)
+        )
+
+    @given(presented_complexes(max_edges=3))
+    def test_reports_match_walking_the_graph_and_asking_the_generated_space(self, X):
+        for Y in (X, reflect_dhat(X), symmetrize(X)):
+            assert preflexibility(Y, 3) == _walk_and_ask_preflexibility(Y, 3)
+            assert check_middle_restriction(Y, 3) == _walk_and_ask_middle_restriction(Y, 3)
+
+    def test_middle_restriction_reports_match_on_the_corpus(self):
+        for name, X in build_corpus().items():
+            assert check_middle_restriction(X, 4) == (
+                _walk_and_ask_middle_restriction(X, 4)
+            ), name
 
 
 class TestCategoryLaws:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import pytest
 
 from cspace import (
+    ControlledComplex,
+    Graph,
     ProductComplex,
     QuotientSpec,
     Route,
@@ -18,6 +20,8 @@ from cspace import (
     opposite,
     oracle_equivalent,
     product,
+    reflect_fl,
+    reflect_pf,
     quotient,
     reversible_cancellation,
     rigid_line,
@@ -27,6 +31,24 @@ from cspace import (
     tag_left,
     tag_right,
 )
+
+
+def _reverse(r: Route) -> Route:
+    n = len(r.edges)
+    return Route(r.end, r.start, tuple(reversed(r.edges)), frozenset(n - d for d in r.dwells))
+
+
+class _Reversed(ControlledComplex):
+    """The opposite by definition: controls exactly the reversed routes."""
+
+    def __init__(self, X: ControlledComplex) -> None:
+        g = X.graph
+        edges = {e: (g.dst(e), g.src(e)) for e in g.edge_ids}
+        super().__init__(Graph(g.vertices, edges), (), X.flexible)
+        self.X = X
+
+    def _decide(self, r: Route) -> bool:
+        return self.X.is_controlled(_reverse(r))
 
 
 class TestStandardSpaces:
@@ -136,6 +158,15 @@ class TestOpposite:
             if X.generators is None:
                 continue
             assert oracle_equivalent(opposite(opposite(X)), X, 3), name
+
+    def test_opposite_commutes_with_oracle_backed_constructions(self, corpus):
+        for name, X in corpus.items():
+            built = [full_substructure(X, X.flexible), reflect_fl(X), reflect_pf(X)]
+            built.append(product(built[0], interval_c()))
+            for R in built:
+                op = opposite(R)
+                assert type(op) is type(R) and op.recipe()[0] == R.recipe()[0], name
+                assert oracle_equivalent(op, _Reversed(R), 3), (name, R.recipe()[0])
 
     def test_opposite_of_initial_delay_is_final_delay(self, delayed_minus):
         assert oracle_equivalent(
