@@ -235,19 +235,41 @@ def _cmd_reflect(args) -> tuple[int, str]:
     return 0, _emit(reflector(X), args.output)
 
 
+_PART_NAMES = {
+    "product": ("left factor", "right factor"),
+    "sum": ("left summand", "right summand"),
+}
+
+
+def _flexibility_witness(X: ControlledComplex) -> str | None:
+    """Why X is not a flexible space: a stiff vertex, a generator with an
+    uncontrolled restriction, or, for a complex built by a recipe, the
+    witness of the first part that is not a flexible space."""
+    stiff = sorted(X.graph.vertices - X.flexible, key=idkey)
+    if stiff:
+        return f"vertex {render_id(stiff[0])} is not flexible"
+    if X.generators is not None:
+        for g in sorted(X.generators, key=Route.sort_key):
+            if not is_flexible_route(X, g):
+                return f"generator {g} has an uncontrolled restriction"
+        return None
+    recipe = X.recipe()
+    if recipe is not None:
+        op, parts, _ = recipe
+        for name, part in zip(_PART_NAMES.get(op, ("base",)), parts):
+            if not is_flexible_space(part):
+                inner = _flexibility_witness(part)
+                return f"{name}: {inner}" if inner else None
+    return None
+
+
 def _check_flexible(X) -> tuple[int, str]:
     if is_flexible_space(X):
         return 0, "flexible: yes"
-    lines = ["flexible: no"]
-    stiff = sorted(X.graph.vertices - X.flexible, key=idkey)
-    if stiff:
-        lines.append(f"witness: vertex {render_id(stiff[0])} is not flexible")
-    elif X.generators:
-        for g in sorted(X.generators, key=Route.sort_key):
-            if not is_flexible_route(X, g):
-                lines.append(f"witness: generator {g} has an uncontrolled restriction")
-                break
-    return 1, "\n".join(lines)
+    witness = _flexibility_witness(X)
+    if witness is None:
+        return 1, "flexible: no"
+    return 1, f"flexible: no\nwitness: {witness}"
 
 
 def _cmd_check(args) -> tuple[int, str]:

@@ -11,12 +11,18 @@ the closure of its generators under three rules:
   * insertion of a dwell at any position of a controlled route.
 
 Dwell durations are quotiented away, so dwell sets are sets, not
-multisets, and a constant route carries no dwell at all.  Membership is
-decided by interval dynamic programming over the generator words: a
-route is controlled iff its edge word splits into generator words and
-its dwell set contains every dwell the chosen generators require, with
-coincident requirements at a junction merging into the single dwell
-position there.
+multisets, and a constant route carries no dwell at all.  Because more
+dwells are always legal, the controlled decorations of one dwell-free
+word form an up-set: the supersets of a finite antichain of minimal
+dwell sets, which ``minimal_dwell_sets`` returns and which each kind of
+complex declares.  For a presented complex it comes from interval
+dynamic programming over the generator words: a route is controlled iff
+its edge word splits into generator words and its dwell set contains
+every dwell the chosen generators require, with coincident requirements
+at a junction merging into the single dwell position there.  Audits
+over many decorations (oracle comparison, covering validation) ask for
+the antichain once per word; a single route is decided by the boolean
+form of the same DP.
 
 The module also provides the four reflectors (generated d-space, flexible
 part, preflexible hull, border-flexible rewrite) and the classification
@@ -48,6 +54,7 @@ __all__ = [
     "route_insert_dwell",
     "enumerate_words",
     "enumerate_routes",
+    "minimal_dwell_sets",
     "oracle_equivalent",
     "reflect_dhat",
     "reflect_fl",
@@ -361,12 +368,64 @@ Support = tuple[frozenset[VertexId], frozenset[EdgeId]]
 Recipe = tuple[str, tuple["ControlledComplex", ...], "frozenset[VertexId] | None"]
 
 
+# Dwell sets as bitmasks: bit i marks a dwell at position i.  A word of n
+# edges has n + 1 dwell positions; a constant route carries none.
+
+
+def _dwell_width(length: int) -> int:
+    return length + 1 if length else 0
+
+
+def _positions(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _decorate(r: Route, mask: int) -> Route:
+    return Route(r.start, r.end, r.edges, _positions(mask))
+
+
+def _dwell_masks(length: int) -> Iterator[int]:
+    """Every dwell set of a ``length``-edge word, by size and then
+    lexicographically: the order ``enumerate_routes`` lists them in."""
+    width = _dwell_width(length)
+    for k in range(width + 1):
+        for combo in itertools.combinations(range(width), k):
+            yield sum(1 << i for i in combo)
+
+
+def _satisfies(mask: int, needs: Iterable[int]) -> bool:
+    """Whether the dwell set ``mask`` contains one of ``needs``."""
+    return any(a & mask == a for a in needs)
+
+
+def _minimal(masks: Iterable[int]) -> frozenset[int]:
+    """The members of ``masks`` with no proper subset among them."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not _satisfies(m, out):
+            out.append(m)
+    return frozenset(out)
+
+
+def _upset_size(needs: Iterable[int], width: int) -> int:
+    """How many dwell sets over ``width`` positions contain one of
+    ``needs``, split on the highest position."""
+    needs = list(needs)
+    if not needs:
+        return 0
+    if 0 in needs:
+        return 1 << width
+    top = 1 << (width - 1)
+    return (_upset_size([m for m in needs if not m & top], width - 1)
+            + _upset_size([m & ~top for m in needs], width - 1))
+
+
 class ControlledComplex:
     """A graph, square cells, a flexible vertex set and a membership oracle.
 
     Instances are immutable.  Subclasses implement ``_decide`` (membership
-    for a graph-valid route) and override the structural methods below
-    where their kind has a rule.
+    for a graph-valid route) and override ``_minimal_dwells`` and the
+    structural methods below where their kind has a rule.
     """
 
     tag = "abstract"
@@ -409,6 +468,20 @@ class ControlledComplex:
 
     def _decide(self, r: Route) -> bool:
         raise NotImplementedError
+
+    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+        """Minimal dwell sets, as bitmasks, of the dwell-free graph-valid
+        route ``r``.  The default uses monotonicity alone: nothing if the
+        fully dwelled decoration is rejected, else ``_decide`` on the dwell
+        sets by increasing size, skipping supersets of sets already found."""
+        full = (1 << _dwell_width(len(r.edges))) - 1
+        if not self._decide(_decorate(r, full)):
+            return frozenset()
+        found: list[int] = []
+        for mask in _dwell_masks(len(r.edges)):
+            if not _satisfies(mask, found) and self._decide(_decorate(r, mask)):
+                found.append(mask)
+        return frozenset(found)
 
     def path_support(self) -> Support:
         """Vertices and edges appearing in controlled routes."""
@@ -464,6 +537,7 @@ class PresentedComplex(ControlledComplex):
         self._words = sorted(
             (g for g in gens if g.edges), key=Route.sort_key
         )
+        self._needs = [sum(1 << d for d in g.dwells) for g in self._words]
         self._recipe: Recipe | None = None
 
     @classmethod
@@ -500,6 +574,24 @@ class PresentedComplex(ControlledComplex):
                     ok[c] = True
                     break
         return ok[n]
+
+    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+        """The DP of ``_decide`` over antichains: each prefix keeps the
+        minimal unions of the dwells its generator splits require."""
+        if not r.edges:
+            return frozenset({0}) if r.start in self._flexible else frozenset()
+        n = len(r.edges)
+        needs: list[frozenset[int]] = [frozenset({0})] + [frozenset()] * n
+        for c in range(1, n + 1):
+            found: set[int] = set()
+            for g, need in zip(self._words, self._needs):
+                m = len(g.edges)
+                if m > c or not needs[c - m] or r.edges[c - m : c] != g.edges:
+                    continue
+                shifted = need << (c - m)
+                found.update(a | shifted for a in needs[c - m])
+            needs[c] = _minimal(found)
+        return needs[n]
 
     def structural_flexibility(self) -> bool:
         """Generators suffice: flexibility is closed under concatenation
@@ -569,13 +661,25 @@ def enumerate_routes(
     """Every graph-valid route up to ``max_len``, by default with every
     dwell subset.  Exponential in the word length; meant for small bounds."""
     for start, word, end in enumerate_words(graph, max_len):
-        if not all_dwell_sets or not word:
+        if not all_dwell_sets:
             yield Route(start, end, word)
             continue
-        positions = range(len(word) + 1)
-        for k in range(len(word) + 2):
-            for dws in itertools.combinations(positions, k):
-                yield Route(start, end, word, frozenset(dws))
+        for mask in _dwell_masks(len(word)):
+            yield Route(start, end, word, _positions(mask))
+
+
+def minimal_dwell_sets(
+    X: ControlledComplex, start: VertexId, word: Iterable[EdgeId]
+) -> frozenset[frozenset[int]]:
+    """The minimal dwell sets of a dwell-free word from ``start``.
+
+    A route on the word is controlled in X iff its dwell set contains one
+    of them: empty when no decoration is controlled, ``{frozenset()}``
+    when every one is.  The antichain is canonical, so two words admit
+    the same decorations iff their antichains are equal.
+    """
+    r = X.graph.route(start, word)
+    return frozenset(_positions(m) for m in X._minimal_dwells(r))
 
 
 def oracle_equivalent(
@@ -587,7 +691,10 @@ def oracle_equivalent(
 ) -> bool:
     """Route-by-route oracle agreement up to ``bound``, across a renaming.
 
-    With no maps, ids must coincide.  Also compares flexible sets.
+    With no maps, ids must coincide.  Also compares flexible sets.  Each
+    dwell-free word of X up to the bound is compared once, through the
+    minimal dwell sets of the word and of its image, which stands for the
+    comparison of every decoration.
     """
     check_bound(bound)
     vmap = dict(vertex_map) if vertex_map else {v: v for v in X.graph.vertices}
@@ -598,11 +705,10 @@ def oracle_equivalent(
         return False
     if {vmap[v] for v in X.flexible} != set(Y.flexible):
         return False
-    for r in enumerate_routes(X.graph, bound):
-        image = Route(
-            vmap[r.start], vmap[r.end], tuple(emap[e] for e in r.edges), r.dwells
-        )
-        if X.is_controlled(r) != Y.is_controlled(image):
+    for start, word, end in enumerate_words(X.graph, bound):
+        image = Route(vmap[start], vmap[end], tuple(emap[e] for e in word))
+        Y.graph.validate_route(image)
+        if X._minimal_dwells(Route(start, end, word)) != Y._minimal_dwells(image):
             return False
     return True
 
@@ -708,6 +814,10 @@ class PreflexibleHull(ControlledComplex):
         if r.start not in self._flexible or r.end not in self._flexible:
             return False
         return all(self._dhat.has_edge(e) for e in r.edges)
+
+    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+        """Dwells play no part: every decoration or none."""
+        return frozenset({0}) if self._decide(r) else frozenset()
 
     def structural_flexibility(self) -> bool:
         return self.graph.vertices == self._flexible
@@ -825,11 +935,12 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     at a path-support vertex, searches for prolongations b1, b2 with
     b1 * r * b2 controlled in X; the prolongations themselves only need
     to live in the d-space, since any restriction of a controlled route
-    does.  Returns witnesses or the first failure.
+    does.  Returns witnesses or the first failure.  One walk of the
+    d-space up to the bound both tests preflexibility (as
+    ``preflexibility`` does) and collects the targets and prolongations.
     """
     check_bound(bound)
-    if not preflexibility(X, bound).holds:
-        return MiddleRestrictionReport(False, False, bound, 0, ())
+    dhat = _dhat_graph(X)
     flex = X.flexible
     support_verts, _ = path_support(X)
     targets = [Route.constant(v) for v in sorted(support_verts, key=idkey)]
@@ -838,10 +949,13 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     # span-boundary dwells anyway
     into: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
     out_of: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
-    for start, word, end in enumerate_words(_dhat_graph(X), bound):
+    for start, word, end in enumerate_words(dhat, bound):
         if not word:
             continue
-        targets.append(Route(start, end, word))
+        r = Route(start, end, word)
+        if start in flex and end in flex and not X.is_controlled(r):
+            return MiddleRestrictionReport(False, False, bound, 0, ())
+        targets.append(r)
         dwelled = Route(start, end, word, frozenset(range(len(word) + 1)))
         if start in flex:
             into.setdefault(end, []).append(dwelled)

@@ -375,16 +375,20 @@ class SumComplex(ControlledComplex):
     def generators(self) -> frozenset[Route] | None:
         return self._generators
 
-    def _untag(self, r: Route) -> tuple[str, Route]:
-        side = r.start[0]
-        return side, Route(
+    def _untag(self, r: Route) -> tuple[ControlledComplex, Route]:
+        """The summand r lives in, and r in its ids."""
+        summand = self.left if r.start[0] == "L" else self.right
+        return summand, Route(
             r.start[1], r.end[1], tuple(e[1] for e in r.edges), r.dwells
         )
 
     def _decide(self, r: Route) -> bool:
-        side, plain = self._untag(r)
-        target = self.left if side == "L" else self.right
-        return target.is_controlled(plain)
+        summand, plain = self._untag(r)
+        return summand.is_controlled(plain)
+
+    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+        summand, plain = self._untag(r)
+        return summand._minimal_dwells(plain)
 
     def structural_flexibility(self) -> bool:
         return is_flexible_space(self.left) and is_flexible_space(self.right)
@@ -473,6 +477,11 @@ class RestrictedComplex(ControlledComplex):
         if r.start not in self.keep or r.end not in self.keep:
             return False
         return self.base.is_controlled(r)
+
+    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+        if r.start not in self.keep or r.end not in self.keep:
+            return frozenset()
+        return self.base._minimal_dwells(r)
 
     def structural_flexibility(self) -> bool:
         """Keeping every vertex controls exactly what the base controls."""

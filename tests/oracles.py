@@ -4,14 +4,25 @@ These re-derive controlled-route membership and arrow classes by forward
 saturation of the closure rules, sharing no decision code with the
 package: membership comes from enumerating generator decompositions
 breadth-first, and arrow classes come from an explicit rewrite closure
-over realizable words.  Property tests compare the package's answers
-against these.
+over realizable words.  The covering audit decides every decoration of
+every base route through the saturation table, sharing only the route
+enumeration with the package.  Property tests compare the package's
+answers against these.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from cspace import ControlledComplex, Route, route_concat, route_insert_dwell
+from cspace import (
+    ControlledComplex,
+    CoveringReport,
+    Route,
+    enumerate_routes,
+    idkey,
+    render_id,
+    route_concat,
+    route_insert_dwell,
+)
 
 Label = tuple
 
@@ -141,3 +152,69 @@ def brute_pi1_components(X: ControlledComplex, bound: int) -> set:
         todo -= block
         components.add(frozenset(block))
     return components
+
+
+def _brute_lift(p, b: Route, x0):
+    """The edge-by-edge lift of b from x0, or why it fails: ("off",
+    vertex, edge) when no edge lies over the next step, ("many", text)
+    when several do."""
+    tg = p.total.graph
+    x = x0
+    edges = []
+    for f in b.edges:
+        matches = [e for e in tg.out_edges(x) if p.emap[e] == f]
+        if not matches:
+            return ("off", x, f)
+        if len(matches) > 1:
+            return ("many", f"lift is not unique at {render_id(x)}: "
+                            f"{len(matches)} edges over {render_id(f)}")
+        edges.append(matches[0])
+        x = tg.dst(matches[0])
+    return Route(x0, x, tuple(edges), b.dwells)
+
+
+def brute_validate_covering(p, bound: int) -> CoveringReport:
+    """The covering audit decoration by decoration: every dwell subset of
+    every base word up to the bound, base and total membership both
+    decided by ``brute_route_table``."""
+    tg, bg = p.total.graph, p.base.graph
+    base_table = brute_route_table(p.base, bound)
+    total_table = brute_route_table(p.total, bound)
+    witnesses = []
+    star_ok = True
+    for x in sorted(tg.vertices - p.excluded, key=idkey):
+        y = p.vmap[x]
+        for mine, theirs, side in ((tg.out_edges(x), bg.out_edges(y), "out"),
+                                   (tg.in_edges(x), bg.in_edges(y), "in")):
+            images = [p.emap[e] for e in mine]
+            if len(set(images)) != len(images) or (
+                    sorted(images, key=idkey) != sorted(theirs, key=idkey)):
+                star_ok = False
+                witnesses.append(f"star not bijective at {render_id(x)} ({side}-edges)")
+    flexible_ok = p.total.flexible == {
+        x for x in tg.vertices if p.vmap[x] in p.base.flexible}
+    if not flexible_ok:
+        witnesses.append("flexible vertices upstairs are not the flexible fibres")
+    lift_ok = True
+    checked = skipped = 0
+    for b in enumerate_routes(bg, bound):
+        if not brute_is_controlled(base_table, b):
+            continue
+        fibre = sorted((x for x in tg.vertices if p.vmap[x] == b.start), key=idkey)
+        for x0 in fibre:
+            lift = _brute_lift(p, b, x0)
+            if isinstance(lift, Route):
+                checked += 1
+                if not brute_is_controlled(total_table, lift):
+                    lift_ok = False
+                    witnesses.append(f"lift {lift} of {b} is not controlled")
+            elif lift[0] == "off" and lift[1] in p.excluded:
+                skipped += 1
+            else:
+                lift_ok = False
+                witnesses.append(
+                    lift[1] if lift[0] == "many"
+                    else f"no edge over {render_id(lift[2])} at {render_id(lift[1])}")
+    return CoveringReport(
+        star_ok and lift_ok and flexible_ok, star_ok, lift_ok, flexible_ok, bound,
+        p.excluded, checked, skipped, tuple(witnesses))

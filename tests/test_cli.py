@@ -114,7 +114,27 @@ class TestCheck:
         delayed = str(tmp_path / "dm.ctop")
         run_command(["new", "interval-delayed-minus", "-o", delayed])
         run_command(["restrict", delayed, "--keep", "0,1", "-o", kept])
-        assert run_command(["check", kept, "flexible"]) == (1, "flexible: no")
+        assert run_command(["check", kept, "flexible"]) == (1, (
+            "flexible: no\n"
+            "witness: base: generator (0;[e];{0}) has an uncontrolled restriction"))
+
+    def test_products_and_sums_name_the_part_that_is_not_flexible(self, tmp_path, ci_file):
+        delayed = str(tmp_path / "dm.ctop")
+        run_command(["new", "interval-delayed-minus", "-o", delayed])
+        kept = str(tmp_path / "r.ctop")
+        run_command(["restrict", delayed, "--keep", "0,1", "-o", kept])
+        cases = (
+            (["product", ci_file, kept], "right factor: base: "),
+            (["product", kept, ci_file], "left factor: base: "),
+            (["sum", kept, ci_file], "left summand: base: "),
+            (["product", ci_file, delayed], "right factor: "),
+        )
+        for args, where in cases:
+            out = str(tmp_path / "built.ctop")
+            assert run_command(args + ["-o", out])[0] == 0
+            assert run_command(["check", out, "flexible"]) == (1, (
+                "flexible: no\nwitness: " + where
+                + "generator (0;[e];{0}) has an uncontrolled restriction"))
 
     def test_missing_bound_is_a_usage_error(self, ci_file):
         code, text = run_command(["check", ci_file, "preflexible"])

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import brute_validate_covering
+from strategies import presented_complexes, routes_on
 from cspace import (
     CoveringMap,
     Graph,
@@ -14,10 +18,12 @@ from cspace import (
     exponential_cover,
     identity_cover,
     interval_c,
+    interval_j,
     lift_route,
     line_c,
     validate_covering,
 )
+from cspace.cli import run_command
 
 
 class TestCoveringMapConstruction:
@@ -160,3 +166,104 @@ class TestLiftingBijection:
         report = check_lifting_bijection(p, "0", "0", 5)
         ends = {lift.end for _, _, lift in report.pairs}
         assert len(ends) == report.base_classes
+
+
+def _line_over_loop(window, base_gens, total_gens, excluded=True):
+    """A window of the line over a one-vertex loop, each side presented
+    by the given generator lists of (edge count, dwells) per start."""
+    B_graph = Graph(["0"], {"e0": ("0", "0")})
+    B = PresentedComplex(
+        B_graph, {B_graph.route("0", ["e0"] * m, d) for m, d in base_gens})
+    vertices = [str(k) for k in range(-window, window + 1)]
+    edges = {f"e{k}": (str(k), str(k + 1)) for k in range(-window, window)}
+    g = Graph(vertices, edges)
+    gens = {g.route(str(k), [f"e{k + i}" for i in range(m)], d)
+            for m, d in total_gens for k in range(-window, window - m + 1)}
+    ends = frozenset({str(-window), str(window)}) if excluded else frozenset()
+    return CoveringMap(PresentedComplex(g, gens), B, {v: "0" for v in vertices},
+                       {e: "e0" for e in edges}, ends)
+
+
+def _broken_cover():
+    B = circle_n_stop(1)
+    vertices = [str(k) for k in range(-2, 3)]
+    edges = {f"e{k}": (str(k), str(k + 1)) for k in range(-2, 2)}
+    g = Graph(vertices, edges)
+    gens = {g.route(str(k), [f"e{k}"]) for k in range(-2, 2) if k != 0}
+    return CoveringMap(PresentedComplex(g, gens), B, {v: "0" for v in vertices},
+                       {e: "e0" for e in edges}, excluded=frozenset({"-2", "2"}))
+
+
+def _forked_cover():
+    B = interval_c()
+    g = Graph(["a", "b", "c"], {"x": ("a", "b"), "y": ("a", "c")})
+    total = PresentedComplex(g, {g.route("a", ["x"]), g.route("a", ["y"])})
+    return CoveringMap(total, B, {"a": "0", "b": "1", "c": "1"}, {"x": "e", "y": "e"})
+
+
+DIFFERENTIAL_COVERS = {
+    "exponential-1-5": (lambda: exponential_cover(1, 5), 6),
+    "exponential-3-6": (lambda: exponential_cover(3, 6), 6),
+    "identity-j": (lambda: identity_cover(interval_j()), 4),
+    "broken": (_broken_cover, 3),
+    "dwell-at-start": (lambda: _line_over_loop(3, [(1, {0})], [(1, {0})]), 4),
+    "dwell-at-start-lifted-to-end": (
+        lambda: _line_over_loop(3, [(1, {0})], [(1, {1})]), 4),
+    "middle-dwell": (lambda: _line_over_loop(3, [(2, {1})], [(2, {1})]), 5),
+    "middle-dwell-lifted-to-both-ends": (
+        lambda: _line_over_loop(3, [(2, {1})], [(2, {0, 2})]), 5),
+    "mixed-needs": (
+        lambda: _line_over_loop(3, [(1, {0}), (2, set())], [(1, {1}), (2, {2})]), 4),
+    "either-end-lifted-to-one": (
+        lambda: _line_over_loop(3, [(1, {0}), (1, {1})], [(1, {0})]), 3),
+    "runs-off-unexcluded": (
+        lambda: _line_over_loop(2, [(1, set())], [(1, set())], excluded=False), 3),
+    "non-unique-lift": (_forked_cover, 2),
+}
+
+
+class TestValidationAgainstTheBruteAudit:
+    """Reports equal the per-decoration audit, witness order included."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COVERS))
+    def test_reports_match_field_for_field(self, name):
+        build, bound = DIFFERENTIAL_COVERS[name]
+        p = build()
+        assert validate_covering(p, bound) == brute_validate_covering(p, bound)
+
+    def test_the_differential_covers_exercise_every_outcome(self):
+        reports = {name: validate_covering(build(), bound)
+                   for name, (build, bound) in DIFFERENTIAL_COVERS.items()}
+        assert not reports["dwell-at-start-lifted-to-end"].lift_ok
+        assert reports["dwell-at-start"].valid and reports["middle-dwell"].valid
+        assert not reports["middle-dwell-lifted-to-both-ends"].lift_ok
+        assert not reports["either-end-lifted-to-one"].lift_ok
+        assert any(w.startswith("no edge over")
+                   for w in reports["runs-off-unexcluded"].witnesses)
+        assert any("not unique" in w for w in reports["non-unique-lift"].witnesses)
+        assert reports["exponential-1-5"].skipped_lifts > 0
+
+    @given(st.data())
+    def test_random_generator_sets_on_one_graph(self, data):
+        """Identity maps between two presentations of one graph: lifts
+        fail exactly where the base controls a decoration the total does
+        not."""
+        X = data.draw(presented_complexes())
+        gens = data.draw(st.lists(routes_on(X, max_len=2), min_size=1, max_size=3))
+        Y = PresentedComplex(X.graph, gens)
+        p = CoveringMap(X, Y, {v: v for v in X.graph.vertices},
+                        {e: e for e in X.graph.edge_ids})
+        assert validate_covering(p, 3) == brute_validate_covering(p, 3)
+
+
+def test_cli_text_of_a_large_exponential_audit():
+    code, text = run_command([
+        "cover-validate", "--exponential", "3", "--window", "12", "--bound", "10",
+    ])
+    assert code == 0
+    assert text.splitlines() == [
+        "star condition: ok",
+        "controlled lifts: ok (65457 checked, 36868 skipped at the window boundary)",
+        "flexible fibres: ok",
+        "covering: valid (bound 10)",
+    ]

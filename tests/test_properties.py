@@ -16,7 +16,10 @@ from cspace import (
     Route,
     check_middle_restriction,
     enumerate_routes,
+    enumerate_words,
+    full_substructure,
     idkey,
+    minimal_dwell_sets,
     oracle_equivalent,
     path_support,
     pi1,
@@ -30,7 +33,16 @@ from cspace import (
     route_insert_dwell,
 )
 from cspace.core import MiddleRestrictionReport, PreflexibilityReport
-from cspace.spaces import interval_c, interval_j, opposite, symmetrize
+from cspace.spaces import (
+    interval_c,
+    interval_delayed_minus,
+    interval_delayed_plus,
+    interval_j,
+    interval_middle_delay,
+    opposite,
+    sum_complex,
+    symmetrize,
+)
 
 
 def _walk_and_ask_preflexibility(X, bound):
@@ -319,3 +331,46 @@ class TestOracleAgreementFast:
 
         cat = pi1(X, 4)
         assert {a.labels for a in cat.arrows} == brute_pi1_components(X, 4)
+
+
+def _every_kind(X):
+    """X and each construction kind built on it: flexible part,
+    preflexible hull, full substructures, a sum and products whose other
+    side needs a dwell."""
+    flex = sorted(X.flexible, key=idkey)
+    return {"presented": X, "fl": reflect_fl(X), "pf": reflect_pf(X),
+            "restrict-all": full_substructure(X, flex),
+            "restrict-first": full_substructure(X, flex[:1]),
+            "sum": sum_complex(X, full_substructure(interval_delayed_plus(), ["0", "1"])),
+            "product": product(X, interval_delayed_plus()),
+            "product-fl": product(interval_delayed_minus(), reflect_fl(X))}
+
+
+class TestMinimalDwellSets:
+    @given(presented_complexes())
+    def test_presented_antichains_match_the_saturation_oracle(self, X):
+        table = brute_route_table(X, 4)
+        for start, word, _ in enumerate_words(X.graph, 4):
+            assert minimal_dwell_sets(X, start, word) == table.get((start, word), set())
+
+    def test_every_kind_controls_exactly_the_up_set_of_its_antichains(self):
+        for name, C in build_corpus().items():
+            for kind, X in _every_kind(C).items():
+                needs = {}
+                for r in enumerate_routes(X.graph, 3):
+                    key = (r.start, r.edges)
+                    if key not in needs:
+                        needs[key] = minimal_dwell_sets(X, r.start, r.edges)
+                    expected = any(a <= r.dwells for a in needs[key])
+                    assert X.is_controlled(r) == expected, (name, kind, r)
+
+    def test_antichains_are_minimal_and_canonical(self):
+        X = product(interval_middle_delay(), interval_delayed_plus())
+        for start, word, _ in enumerate_words(X.graph, 3):
+            sets = minimal_dwell_sets(X, start, word)
+            assert all(not a < b for a in sets for b in sets)
+        g = interval_middle_delay()
+        assert minimal_dwell_sets(g, "0", ("e1", "e2")) == {frozenset({1})}
+        assert minimal_dwell_sets(g, "0", ("e1",)) == frozenset()
+        assert minimal_dwell_sets(g, "0", ()) == {frozenset()}
+        assert minimal_dwell_sets(g, "m", ()) == frozenset()
