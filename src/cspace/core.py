@@ -52,6 +52,7 @@ __all__ = [
     "render_id",
     "route_concat",
     "route_insert_dwell",
+    "max_decoration",
     "enumerate_words",
     "enumerate_routes",
     "minimal_dwell_sets",
@@ -195,6 +196,12 @@ def route_concat(r1: Route, r2: Route) -> Route:
     return Route(r1.start, r2.end, r1.edges + r2.edges, frozenset(dwells))
 
 
+def max_decoration(start: VertexId, end: VertexId, word: tuple[EdgeId, ...]) -> Route:
+    """The word with a dwell at every position: the weakest decoration to
+    refuse, since membership only ever requires dwells."""
+    return Route(start, end, word, frozenset(range(len(word) + 1)))
+
+
 def route_insert_dwell(r: Route, pos: int) -> Route:
     """Add a dwell at ``pos``; idempotent."""
     if not 0 <= pos <= len(r.edges):
@@ -313,7 +320,9 @@ class Graph:
         return self.dst(r.edges[pos - 1])
 
     def visited(self, r: Route) -> tuple[VertexId, ...]:
-        return tuple(self.vertex_at(r, i) for i in range(len(r.edges) + 1))
+        chain = [r.start]
+        chain.extend(self._edges[e][1] for e in r.edges)
+        return tuple(chain)
 
     def restrict(self, r: Route, p: int, q: int) -> Route:
         """Contiguous sub-route over the span p..q.
@@ -469,6 +478,15 @@ class ControlledComplex:
     def _decide(self, r: Route) -> bool:
         raise NotImplementedError
 
+    def _realizable(
+        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
+    ) -> bool:
+        """Whether the maximal decoration of the graph-valid word is
+        controlled.  ``memo`` belongs to one caller; kinds built from
+        other complexes keep their parts' answers there through
+        ``_realizable_in``.  The default asks ``_decide``."""
+        return self._decide(max_decoration(start, end, word))
+
     def _minimal_dwells(self, r: Route) -> frozenset[int]:
         """Minimal dwell sets, as bitmasks, of the dwell-free graph-valid
         route ``r``.  The default uses monotonicity alone: nothing if the
@@ -507,6 +525,18 @@ class ControlledComplex:
             f"{self.tag}: {len(self._graph.vertices)} vertices, "
             f"{len(self._graph.edge_ids)} edges, {len(self._cells)} cells"
         )
+
+
+def _realizable_in(
+    X: ControlledComplex, start: VertexId, word: tuple[EdgeId, ...], end: VertexId,
+    memo: dict,
+) -> bool:
+    """``X._realizable`` kept in ``memo`` under ``(X, start, word)``."""
+    key = (X, start, word)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = X._realizable(start, word, end, memo)
+    return hit
 
 
 class PresentedComplex(ControlledComplex):
@@ -558,9 +588,22 @@ class PresentedComplex(ControlledComplex):
         return self._recipe
 
     def _decide(self, r: Route) -> bool:
-        if not r.edges:
-            return r.start in self._flexible
-        n = len(r.edges)
+        return self._splits(r.start, r.edges, r.dwells)
+
+    def _realizable(
+        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
+    ) -> bool:
+        """Every dwell is present, so only the generator split counts."""
+        return self._splits(start, word, None)
+
+    def _splits(
+        self, start: VertexId, word: tuple[EdgeId, ...], dwells: frozenset[int] | None
+    ) -> bool:
+        """Whether the word splits into generator words whose dwells lie
+        in ``dwells``; ``None`` stands for every position."""
+        if not word:
+            return start in self._flexible
+        n = len(word)
         ok = [False] * (n + 1)
         ok[0] = True
         for c in range(1, n + 1):
@@ -568,9 +611,9 @@ class PresentedComplex(ControlledComplex):
                 m = len(g.edges)
                 if m > c or not ok[c - m]:
                     continue
-                if r.edges[c - m : c] != g.edges:
+                if word[c - m : c] != g.edges:
                     continue
-                if all((d + c - m) in r.dwells for d in g.dwells):
+                if dwells is None or all((d + c - m) in dwells for d in g.dwells):
                     ok[c] = True
                     break
         return ok[n]
@@ -784,6 +827,21 @@ class FlexiblePart(ControlledComplex):
     def _decide(self, r: Route) -> bool:
         return is_flexible_route(self.base, r)
 
+    def _realizable(
+        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
+    ) -> bool:
+        """Every restriction of the maximal decoration restricts the word
+        without its last or its first edge, except the whole word with
+        its interior dwells, so each word adds one base query."""
+        n = len(word)
+        if not n:
+            return self.base._decide(Route.constant(start))
+        return (
+            _realizable_in(self, start, word[:-1], self._graph.src(word[-1]), memo)
+            and _realizable_in(self, self._graph.dst(word[0]), word[1:], end, memo)
+            and self.base._decide(Route(start, end, word, frozenset(range(1, n))))
+        )
+
     def structural_flexibility(self) -> bool:
         return True
 
@@ -956,7 +1014,7 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
         if start in flex and end in flex and not X.is_controlled(r):
             return MiddleRestrictionReport(False, False, bound, 0, ())
         targets.append(r)
-        dwelled = Route(start, end, word, frozenset(range(len(word) + 1)))
+        dwelled = max_decoration(start, end, word)
         if start in flex:
             into.setdefault(end, []).append(dwelled)
         if end in flex:

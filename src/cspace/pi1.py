@@ -4,11 +4,21 @@ Objects are the flexible vertices.  Arrows are equivalence classes of
 labels, where a label is a start vertex plus a dwell-erased edge word; a
 label stands for every dwell decoration of itself, and it is realizable
 iff its maximal decoration is controlled (membership only ever requires
-dwells, so the maximal decoration is the weakest to refuse).  Two labels
+dwells, so the maximal decoration is the weakest to refuse).  Each kind
+of complex answers that through ``_realizable``: a presented complex
+only needs a generator split of the word, a product asks its factors
+about the projected words, the flexible part asks its base once per
+word and reuses the answers for the word without its first or last
+edge, and the other kinds decide the maximal decoration.  Two labels
 are equivalent when a chain of cell moves joins them: replacing one
 contiguous occurrence of a cell side by the other side, both whole labels
-realizable and within the length bound.  Composition concatenates
-representatives.
+realizable and within the length bound.  A move reads as a move from
+either of its labels, so each cell is indexed once per call, by a
+nonempty side (its length, then its edge word), and each label looks up
+each of its subwords of an indexed length once; inserting an empty side
+is found as deleting the other side from the longer label.
+Representatives are the least words, by length and then by edge ids
+ranked in ``idkey`` order.  Composition concatenates representatives.
 
 Enumeration is truncated at a length bound.  The category is exact when
 the path-support graph is acyclic with longest path within the bound;
@@ -26,6 +36,7 @@ from .core import (
     Route,
     StructureError,
     VertexId,
+    _realizable_in,
     check_bound,
     idkey,
     reflect_dhat,
@@ -79,17 +90,10 @@ class _UnionFind:
             self._rank[ra] += 1
 
 
-def max_decoration(start: VertexId, end: VertexId, word: tuple[EdgeId, ...]) -> Route:
-    return Route(start, end, word, frozenset(range(len(word) + 1)))
-
-
 def is_realizable(X: ControlledComplex, start: VertexId, word: tuple[EdgeId, ...]) -> bool:
+    """Whether the maximal decoration of the word is controlled in X."""
     r = X.graph.route(start, word)
-    return X.is_controlled(max_decoration(start, r.end, word))
-
-
-def _word_key(word: tuple[EdgeId, ...]) -> tuple:
-    return (len(word), tuple(idkey(e) for e in word))
+    return X._realizable(start, r.edges, r.end, {})
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,10 @@ def _support_truncated(X: ControlledComplex, bound: int) -> bool:
 
 def _realizable_labels(X: ControlledComplex, bound: int) -> dict[Label, VertexId]:
     labels: dict[Label, VertexId] = {}
+    memo: dict = {}
     for x in sorted(X.flexible, key=idkey):
         for word, end in X.graph.iter_words(x, bound):
-            if X.is_controlled(max_decoration(x, end, word)):
+            if _realizable_in(X, x, word, end, memo):
                 labels[(x, word)] = end
     return labels
 
@@ -228,29 +233,26 @@ def _apply_moves(
     X: ControlledComplex, labels: dict[Label, VertexId], bound: int
 ) -> _UnionFind:
     uf = _UnionFind(labels)
-    sides = []
+    # A move joins two labels and reads as a move from either one, so it
+    # is found from the label holding the nonempty side of its cell: each
+    # cell is indexed once, by that side's length and then its word (an
+    # edge-word match fixes the whole vertex chain).  One side may belong
+    # to several cells.
+    sides: dict[int, dict[tuple[EdgeId, ...], list[tuple[EdgeId, ...]]]] = {}
     for c in X.cells:
-        sides.append((c.left, c.right))
-        sides.append((c.right, c.left))
-    for (start, word), end in labels.items():
-        chain = X.graph.visited(Route(start, end, word))
-        for old, new in sides:
-            k = len(old.edges)
-            if len(word) - k + len(new.edges) > bound:
-                continue
-            if k == 0:
-                spots = [i for i in range(len(word) + 1) if chain[i] == old.start]
-            else:
-                # an edge-word match fixes the whole vertex chain
-                spots = [
-                    i
-                    for i in range(len(word) - k + 1)
-                    if word[i : i + k] == old.edges
-                ]
-            for i in spots:
-                moved = (start, word[:i] + new.edges + word[i + k :])
-                if moved in labels:
-                    uf.union((start, word), moved)
+        old, new = (c.left, c.right) if c.left.edges else (c.right, c.left)
+        if old.edges:
+            sides.setdefault(len(old.edges), {}).setdefault(old.edges, []).append(new.edges)
+    for label in labels:
+        start, word = label
+        n = len(word)
+        for k, by_word in sides.items():
+            for i in range(n - k + 1):
+                for new in by_word.get(word[i : i + k], ()):
+                    if n - k + len(new) <= bound:
+                        moved = (start, word[:i] + new + word[i + k :])
+                        if moved in labels:
+                            uf.union(label, moved)
     return uf
 
 
@@ -262,12 +264,18 @@ def pi1(X: ControlledComplex, bound: int) -> FundamentalCategory:
     groups: dict[Label, list[Label]] = {}
     for lab in labels:
         groups.setdefault(uf.find(lab), []).append(lab)
+    # words compare by length, then edge by edge in idkey order
+    rank = {e: i for i, e in enumerate(sorted(X.graph.edge_ids, key=idkey))}
+
+    def word_key(word: tuple[EdgeId, ...]) -> tuple:
+        return (len(word), [rank[e] for e in word])
+
     keyed = []
     for members in groups.values():
-        rep_start, rep_word = min(members, key=lambda L: _word_key(L[1]))
+        rep_start, rep_word = min(members, key=lambda L: word_key(L[1]))
         end = labels[(rep_start, rep_word)]
         rep = Route(rep_start, end, rep_word)
-        keyed.append((idkey(rep_start), idkey(end), _word_key(rep_word), rep, members))
+        keyed.append((idkey(rep_start), idkey(end), word_key(rep_word), rep, members))
     keyed.sort(key=lambda t: t[:3])
     arrows = [
         ArrowClass(i, rep.start, rep.end, rep, frozenset(members))

@@ -22,6 +22,7 @@ from .core import (
     StructureError,
     Support,
     VertexId,
+    _realizable_in,
     idkey,
     is_flexible_route,
     is_flexible_space,
@@ -287,6 +288,17 @@ class ProductComplex(ControlledComplex):
     def _decide(self, r: Route) -> bool:
         return self.left.is_controlled(self.project_left(r)) and self.right.is_controlled(
             self.project_right(r)
+        )
+
+    def _realizable(
+        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
+    ) -> bool:
+        """The maximal decoration projects to the maximal decorations of
+        the factor words."""
+        lw = tuple(step[1] for step in word if step[0] == "L")
+        rw = tuple(step[2] for step in word if step[0] == "R")
+        return _realizable_in(self.left, start[0], lw, end[0], memo) and _realizable_in(
+            self.right, start[1], rw, end[1], memo
         )
 
     def structural_flexibility(self) -> bool:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import brute_pi1_components
 from cspace import (
+    Graph,
+    PresentedComplex,
     Route,
+    SquareCell,
     StructureError,
     check_fullness,
     check_product_preservation,
@@ -225,3 +229,67 @@ class TestSymmetrizedCategories:
             for c in table.classes
         )
         assert windings == list(range(-4, 5))
+
+
+def _free_complex(edges, cells):
+    """Every edge a free generator, with the given cells (pairs of
+    (start, end, word) sides)."""
+    vertices = {v for ends in edges.values() for v in ends}
+    g = Graph(vertices, edges)
+    gens = {g.route(s, [e]) for e, (s, _) in edges.items()}
+    return PresentedComplex(g, gens, [
+        SquareCell(Route(s, t, left), Route(s, t, right)) for s, t, left, right in cells
+    ])
+
+
+def _classes(cat):
+    return {a.labels for a in cat.arrows}
+
+
+def _words(cat, start, end):
+    return {frozenset(w for _, w in a.labels) for a in cat.hom(start, end)}
+
+
+class TestCellMoves:
+    def test_two_cells_sharing_one_side(self):
+        X = _free_complex(
+            {"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")},
+            [("0", "1", ("a",), ("b",)), ("0", "1", ("a",), ("c",))],
+        )
+        cat = pi1(X, 2)
+        assert _classes(cat) == brute_pi1_components(X, 2)
+        assert _words(cat, "0", "1") == {frozenset({("a",), ("b",), ("c",)})}
+
+    def test_a_side_occurring_twice_in_one_label(self):
+        # (e, e) sits twice in (e, e, e), overlapping; only the second
+        # occurrence leads to (e, g)
+        X = _free_complex(
+            {"e": ("0", "0"), "g": ("0", "0")}, [("0", "0", ("e", "e"), ("g",))]
+        )
+        cat = pi1(X, 3)
+        assert _classes(cat) == brute_pi1_components(X, 3)
+        joined = cat.class_of_label("0", ("e", "e", "e"))
+        assert joined.labels == {("0", ("e", "e", "e")), ("0", ("g", "e")), ("0", ("e", "g"))}
+
+    def test_an_empty_side_is_inserted_at_both_ends_of_a_label(self):
+        # the cancellation cell sits at 1 only, the end of (e) and the
+        # start of (r)
+        X = _free_complex(
+            {"e": ("0", "1"), "r": ("1", "0")}, [("1", "1", ("r", "e"), ())]
+        )
+        cat = pi1(X, 3)
+        assert _classes(cat) == brute_pi1_components(X, 3)
+        assert cat.class_of_label("0", ("e", "r", "e")) == cat.class_of_label("0", ("e",))
+        assert cat.class_of_label("1", ("r", "e", "r")) == cat.class_of_label("1", ("r",))
+        assert cat.class_of_label("0", ("e", "r")) != cat.identity("0")
+
+    def test_a_move_past_the_bound_is_not_applied(self):
+        X = _free_complex(
+            {"e": ("0", "1"), "f": ("0", "m"), "g": ("m", "1")},
+            [("0", "1", ("e",), ("f", "g"))],
+        )
+        short, long = pi1(X, 1), pi1(X, 2)
+        assert _classes(short) == brute_pi1_components(X, 1)
+        assert _classes(long) == brute_pi1_components(X, 2)
+        assert _words(short, "0", "1") == {frozenset({("e",)})}
+        assert _words(long, "0", "1") == {frozenset({("e",), ("f", "g")})}

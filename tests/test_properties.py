@@ -7,18 +7,25 @@ from __future__ import annotations
 
 import functools
 
+import pytest
 from hypothesis import given
 
 from conftest import build_corpus
-from oracles import brute_route_table
+from oracles import brute_pi1_components, brute_route_table
 from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
+    ArrowClass,
+    FundamentalCategory,
     Route,
     check_middle_restriction,
+    circle_n_stop,
     enumerate_routes,
     enumerate_words,
     full_substructure,
     idkey,
+    is_flexible_route,
+    line_c,
+    max_decoration,
     minimal_dwell_sets,
     oracle_equivalent,
     path_support,
@@ -33,6 +40,7 @@ from cspace import (
     route_insert_dwell,
 )
 from cspace.core import MiddleRestrictionReport, PreflexibilityReport
+from cspace.pi1 import _support_truncated
 from cspace.spaces import (
     interval_c,
     interval_delayed_minus,
@@ -374,3 +382,97 @@ class TestMinimalDwellSets:
         assert minimal_dwell_sets(g, "0", ("e1",)) == frozenset()
         assert minimal_dwell_sets(g, "0", ()) == {frozenset()}
         assert minimal_dwell_sets(g, "m", ()) == frozenset()
+
+
+def _scan_pi1(X, bound):
+    """pi1 by walking words and asking ``is_controlled`` of each maximal
+    decoration, scanning every cell side at every position of every
+    label, and ordering words by their ``idkey`` tuples."""
+    labels = {}
+    for x in sorted(X.flexible, key=idkey):
+        for word, end in X.graph.iter_words(x, bound):
+            if X.is_controlled(max_decoration(x, end, word)):
+                labels[(x, word)] = end
+    parent = {lab: lab for lab in labels}
+
+    def find(lab):
+        while parent[lab] != lab:
+            lab = parent[lab]
+        return lab
+
+    sides = [(c.left, c.right) for c in X.cells] + [(c.right, c.left) for c in X.cells]
+    for start, word in labels:
+        chain = [start] + [X.graph.dst(e) for e in word]
+        for old, new in sides:
+            k = len(old.edges)
+            if len(word) - k + len(new.edges) > bound:
+                continue
+            for i in range(len(word) - k + 1):
+                if word[i:i + k] != old.edges or chain[i] != old.start:
+                    continue
+                moved = (start, word[:i] + new.edges + word[i + k:])
+                if moved in labels:
+                    parent[find(moved)] = find((start, word))
+    groups = {}
+    for lab in labels:
+        groups.setdefault(find(lab), []).append(lab)
+
+    def word_key(word):
+        return (len(word), tuple(idkey(e) for e in word))
+
+    keyed = []
+    for members in groups.values():
+        start, word = min(members, key=lambda lab: word_key(lab[1]))
+        end = labels[(start, word)]
+        keyed.append(((idkey(start), idkey(end), word_key(word)),
+                      Route(start, end, word), frozenset(members)))
+    keyed.sort(key=lambda t: t[0])
+    arrows = [ArrowClass(i, rep.start, rep.end, rep, members)
+              for i, (_, rep, members) in enumerate(keyed)]
+    return FundamentalCategory(X.flexible, arrows, bound, _support_truncated(X, bound))
+
+
+def _assert_same_category(got, want, where):
+    assert got.objects == want.objects, where
+    assert got.possibly_incomplete == want.possibly_incomplete, where
+    assert got.bound == want.bound, where
+    # ArrowClass equality covers index, source, target, rep and labels
+    assert got.arrows == want.arrows, where
+
+
+BENCHMARK_POOL = {
+    "line3xline3": (lambda: product(line_c(3), line_c(3)), range(4, 7)),
+    "symcircle2": (lambda: symmetrize(circle_n_stop(2)), range(6, 10)),
+    "circle3": (lambda: circle_n_stop(3), range(8, 13)),
+    "middelayxline2": (lambda: product(interval_middle_delay(), line_c(2)), range(5, 8)),
+    "fl(symcircle2)": (lambda: reflect_fl(symmetrize(circle_n_stop(2))), range(6, 10)),
+}
+
+
+class TestFundamentalCategoryAgainstTheScan:
+    @given(presented_complexes())
+    def test_every_kind_matches_the_scan(self, X):
+        for kind, Y in _every_kind(X).items():
+            _assert_same_category(pi1(Y, 4), _scan_pi1(Y, 4), kind)
+
+    def test_benchmark_complexes_match_the_scan_over_their_bounds(self):
+        for name, (build, bounds) in BENCHMARK_POOL.items():
+            X = build()
+            for bound in bounds:
+                _assert_same_category(pi1(X, bound), _scan_pi1(X, bound), (name, bound))
+
+    def test_flexible_part_realizability_is_flexibility_of_the_maximal_decoration(self):
+        for name, C in build_corpus().items():
+            F = reflect_fl(C)
+            memo = {}
+            for start, word, end in enumerate_words(F.graph, 5):
+                want = is_flexible_route(C, max_decoration(start, end, word))
+                assert F._realizable(start, word, end, memo) == want, (name, word)
+
+    @pytest.mark.large
+    @given(presented_complexes(max_vertices=4, max_edges=6, max_cells=3, max_cell_side=3))
+    def test_larger_complexes_match_the_rewrite_closure_and_the_scan(self, X):
+        cat = pi1(X, 5)
+        assert {a.labels for a in cat.arrows} == brute_pi1_components(X, 5)
+        for kind, Y in _every_kind(X).items():
+            _assert_same_category(pi1(Y, 5), _scan_pi1(Y, 5), kind)
