@@ -454,6 +454,9 @@ class ControlledComplex:
         self._flexible = frozenset(flexible)
         if not self._flexible <= graph.vertices:
             raise InvalidRouteError("flexible set mentions unknown vertices")
+        # pi1's realizable labels and cell moves (``cspace.pi1._LabelStore``),
+        # built on first use; an instance never changes, so neither do they
+        self._label_store = None
 
     @property
     def graph(self) -> Graph:

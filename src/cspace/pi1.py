@@ -12,22 +12,37 @@ word and reuses the answers for the word without its first or last
 edge, and the other kinds decide the maximal decoration.  Two labels
 are equivalent when a chain of cell moves joins them: replacing one
 contiguous occurrence of a cell side by the other side, both whole labels
-realizable and within the length bound.  A move reads as a move from
-either of its labels, so each cell is indexed once per call, by a
-nonempty side (its length, then its edge word), and each label looks up
-each of its subwords of an indexed length once; inserting an empty side
-is found as deleting the other side from the longer label.
-Representatives are the least words, by length and then by edge ids
-ranked in ``idkey`` order.  Composition concatenates representatives.
+realizable and within the length bound.  Representatives are the least
+words, by length and then by edge ids in ``idkey`` order.  Composition
+concatenates representatives.
+
+Realizability does not depend on the bound, and a move is used at bound
+b iff both of its labels have length <= b, so the category at b is the
+set of components of one move graph restricted to the labels within b.
+Each complex therefore keeps one label store, built on the first
+``pi1`` call: one walk yields the realizable labels up to the largest
+bound asked so far, numbered in representative order, and the cell
+moves between them as pairs of label numbers sorted by the length of
+the longer label.  A move reads as a move from either of its labels, so
+it is found from the label holding the nonempty side of its cell: each
+cell is indexed once by that side, and inserting an empty side is found
+as deleting the other side from the longer label.  A call at a bound
+within the store replays union-find over the moves that fit (its class
+roots are kept as one int array per bound) and builds a fresh category
+from them; a larger bound rebuilds the store by one walk to that bound.
 
 Enumeration is truncated at a length bound.  The category is exact when
 the path-support graph is acyclic with longest path within the bound;
-otherwise it is flagged possibly incomplete.
+otherwise it is flagged possibly incomplete.  The store keeps that
+longest path, so the flag at any bound is one comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from array import array
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     CompositionError,
@@ -41,6 +56,7 @@ from .core import (
     idkey,
     reflect_dhat,
     reflect_fl,
+    render_id,
 )
 from .spaces import full_substructure, product, sum_complex
 
@@ -64,30 +80,6 @@ __all__ = [
 ]
 
 Label = tuple  # (start vertex, dwell-erased edge word)
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable) -> None:
-        self._parent = {x: x for x in items}
-        self._rank = {x: 0 for x in self._parent}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
 
 
 def is_realizable(X: ControlledComplex, start: VertexId, word: tuple[EdgeId, ...]) -> bool:
@@ -193,9 +185,9 @@ class FundamentalCategory:
         return all(len(v) <= 1 for v in self._homs.values())
 
 
-def _support_truncated(X: ControlledComplex, bound: int) -> bool:
-    """True when controlled routes may outrun the bound: the support graph
-    has a directed cycle, or its longest path exceeds the bound."""
+def _support_longest(X: ControlledComplex) -> float:
+    """Length of the longest path in the support graph, or infinity when
+    the support graph has a directed cycle."""
     verts, edges = X.support_upper()
     out: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
     indeg: dict[VertexId, int] = {v: 0 for v in verts}
@@ -215,75 +207,137 @@ def _support_truncated(X: ControlledComplex, bound: int) -> bool:
             if indeg[w] == 0:
                 queue.append(w)
     if seen < len(verts):
-        return True
-    return bool(dist) and max(dist.values()) > bound
+        return math.inf
+    return max(dist.values(), default=0)
 
 
-def _realizable_labels(X: ControlledComplex, bound: int) -> dict[Label, VertexId]:
-    labels: dict[Label, VertexId] = {}
-    memo: dict = {}
-    for x in sorted(X.flexible, key=idkey):
-        for word, end in X.graph.iter_words(x, bound):
-            if _realizable_in(X, x, word, end, memo):
-                labels[(x, word)] = end
-    return labels
+def _support_truncated(X: ControlledComplex, bound: int) -> bool:
+    """True when controlled routes may outrun the bound: the support graph
+    has a directed cycle, or its longest path exceeds the bound.  Computed
+    afresh; ``pi1`` keeps ``_support_longest`` in the label store."""
+    return _support_longest(X) > bound
 
 
-def _apply_moves(
-    X: ControlledComplex, labels: dict[Label, VertexId], bound: int
-) -> _UnionFind:
-    uf = _UnionFind(labels)
-    # A move joins two labels and reads as a move from either one, so it
-    # is found from the label holding the nonempty side of its cell: each
-    # cell is indexed once, by that side's length and then its word (an
-    # edge-word match fixes the whole vertex chain).  One side may belong
-    # to several cells.
-    sides: dict[int, dict[tuple[EdgeId, ...], list[tuple[EdgeId, ...]]]] = {}
-    for c in X.cells:
-        old, new = (c.left, c.right) if c.left.edges else (c.right, c.left)
-        if old.edges:
-            sides.setdefault(len(old.edges), {}).setdefault(old.edges, []).append(new.edges)
-    for label in labels:
-        start, word = label
-        n = len(word)
-        for k, by_word in sides.items():
-            for i in range(n - k + 1):
-                for new in by_word.get(word[i : i + k], ()):
-                    if n - k + len(new) <= bound:
-                        moved = (start, word[:i] + new + word[i + k :])
-                        if moved in labels:
-                            uf.union(label, moved)
-    return uf
+class _LabelStore:
+    """The realizable labels of one complex up to ``bound``, with the cell
+    moves between them and the classes of every bound asked so far.
+
+    ``labels`` are in representative order: by start and end vertex, then by length, then edge by edge in ``idkey`` order.  A
+    move keeps both endpoints, so all labels of a class share this order's
+    first two keys, and the class member of least index is its
+    representative; listing classes by that index lists the arrows in
+    order.  ``edges`` holds each move as two label indices, the moves
+    sorted by the length of their longer label, so the moves within bound
+    b are the first ``cuts[b]`` pairs.  ``roots[b]`` gives each label of
+    length <= b its class's least index, and -1 to longer labels.
+    ``longest`` is the support graph's longest path (infinite when cyclic).
+    """
+
+    __slots__ = ("bound", "labels", "edges", "cuts", "roots", "longest")
+
+    def __init__(self, X: ControlledComplex, bound: int, longest: float) -> None:
+        self.bound = bound
+        self.longest = longest
+        self.roots: dict[int, array] = {}
+        rank = {v: i for i, v in enumerate(sorted(X.graph.vertices, key=idkey))}
+        width = bound + 1
+        found = []
+        memo: dict = {}
+        # iter_words lists the words from one start in edge-by-edge idkey
+        # order (a prefix before its extensions), so a stable sort by start,
+        # end and length leaves each (start, end, length) block in that order
+        for x in sorted(X.flexible, key=idkey):
+            for word, end in X.graph.iter_words(x, bound):
+                if _realizable_in(X, x, word, end, memo):
+                    key = (rank[x] * len(rank) + rank[end]) * width + len(word)
+                    found.append((key, (x, word)))
+        found.sort(key=itemgetter(0))
+        self.labels: list[Label] = [lab for _, lab in found]
+        del found, memo
+        self.edges, self.cuts = self._moves(X)
+
+    def _moves(self, X: ControlledComplex) -> tuple[array, list[int]]:
+        # A move joins two labels and reads as a move from either one, so
+        # it is found from the label holding the nonempty side of its cell:
+        # each cell is indexed once, by that side's length and then its word
+        # (an edge-word match fixes the whole vertex chain).  One side may
+        # belong to several cells.
+        sides: dict[int, dict[tuple[EdgeId, ...], list[tuple[EdgeId, ...]]]] = {}
+        for c in X.cells:
+            old, new = (c.left, c.right) if c.left.edges else (c.right, c.left)
+            if old.edges:
+                sides.setdefault(len(old.edges), {}).setdefault(old.edges, []).append(new.edges)
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        by_length: list[list[int]] = [[] for _ in range(self.bound + 1)]
+        for i, (start, word) in enumerate(self.labels):
+            n = len(word)
+            for k, by_word in sides.items():
+                for p in range(n - k + 1):
+                    for new in by_word.get(word[p : p + k], ()):
+                        m = n - k + len(new)
+                        if m <= self.bound:
+                            j = index.get((start, word[:p] + new + word[p + k :]))
+                            if j is not None:
+                                by_length[n if n > m else m] += (i, j)
+        edges = array("i")
+        cuts = []
+        for pairs in by_length:
+            edges.extend(pairs)
+            cuts.append(len(edges) // 2)
+        return edges, cuts
+
+    def _roots_at(self, bound: int) -> array:
+        """Union-find over the moves within the bound; a union points the
+        larger root at the smaller, so every parent index is at most its
+        child's and one forward pass flattens the forest."""
+        got = self.roots.get(bound)
+        if got is not None:
+            return got
+        parent = list(range(len(self.labels)))
+        edges = self.edges
+        for t in range(0, 2 * self.cuts[bound], 2):
+            a, b = edges[t], edges[t + 1]
+            while (q := parent[a]) != a:
+                parent[a] = a = parent[q]
+            while (q := parent[b]) != b:
+                parent[b] = b = parent[q]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        for i, (_, word) in enumerate(self.labels):
+            # labels past the bound have no move within it, so no label's
+            # parent is one of them
+            parent[i] = parent[parent[i]] if len(word) <= bound else -1
+        got = self.roots[bound] = array("i", parent)
+        return got
+
+    def category(self, X: ControlledComplex, bound: int) -> FundamentalCategory:
+        labels = self.labels
+        groups: dict[int, list[Label]] = {}
+        for i, root in enumerate(self._roots_at(bound)):
+            if root == i:
+                groups[i] = [labels[i]]
+            elif root >= 0:
+                groups[root].append(labels[i])
+        arrows = []
+        for index, (root, members) in enumerate(groups.items()):
+            start, word = labels[root]
+            end = X.graph.dst(word[-1]) if word else start
+            arrows.append(
+                ArrowClass(index, start, end, Route(start, end, word), frozenset(members))
+            )
+        return FundamentalCategory(X.flexible, arrows, bound, self.longest > bound)
 
 
 def pi1(X: ControlledComplex, bound: int) -> FundamentalCategory:
     """Truncated fundamental category at the given length bound."""
     check_bound(bound)
-    labels = _realizable_labels(X, bound)
-    uf = _apply_moves(X, labels, bound)
-    groups: dict[Label, list[Label]] = {}
-    for lab in labels:
-        groups.setdefault(uf.find(lab), []).append(lab)
-    # words compare by length, then edge by edge in idkey order
-    rank = {e: i for i, e in enumerate(sorted(X.graph.edge_ids, key=idkey))}
-
-    def word_key(word: tuple[EdgeId, ...]) -> tuple:
-        return (len(word), [rank[e] for e in word])
-
-    keyed = []
-    for members in groups.values():
-        rep_start, rep_word = min(members, key=lambda L: word_key(L[1]))
-        end = labels[(rep_start, rep_word)]
-        rep = Route(rep_start, end, rep_word)
-        keyed.append((idkey(rep_start), idkey(end), word_key(rep_word), rep, members))
-    keyed.sort(key=lambda t: t[:3])
-    arrows = [
-        ArrowClass(i, rep.start, rep.end, rep, frozenset(members))
-        for i, (_, _, _, rep, members) in enumerate(keyed)
-    ]
-    return FundamentalCategory(
-        X.flexible, arrows, bound, _support_truncated(X, bound)
-    )
+    store = X._label_store
+    if store is None or store.bound < bound:
+        longest = _support_longest(X) if store is None else store.longest
+        store = X._label_store = _LabelStore(X, bound, longest)
+    return store.category(X, bound)
 
 
 def hom_classes(
@@ -291,7 +345,7 @@ def hom_classes(
 ) -> tuple[ArrowClass, ...]:
     for v in (x, y):
         if v not in X.flexible:
-            raise StructureError(f"{v!r} is not a flexible vertex")
+            raise StructureError(f"{render_id(v)} is not a flexible vertex")
     return pi1(X, bound).hom(x, y)
 
 
@@ -313,7 +367,7 @@ class MonoidTable:
 
 def fundamental_monoid(X: ControlledComplex, x0: VertexId, bound: int) -> MonoidTable:
     if x0 not in X.flexible:
-        raise StructureError(f"{x0!r} is not a flexible vertex")
+        raise StructureError(f"{render_id(x0)} is not a flexible vertex")
     cat = pi1(X, bound)
     classes = cat.hom(x0, x0)
     local = {a.index: i for i, a in enumerate(classes)}

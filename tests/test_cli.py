@@ -79,6 +79,13 @@ class TestCategoryCommands:
         assert code == 2
         assert "zzz" in text
 
+    def test_monoid_and_hom_render_a_vertex_that_is_not_an_object_alike(self, tmp_path):
+        path = str(tmp_path / "md.ctop")
+        run_command(["new", "interval-middle-delay", "-o", path])
+        want = (2, "error: m is not a flexible vertex")
+        assert run_command(["monoid", path, "m", "--bound", "3"]) == want
+        assert run_command(["hom", path, "0", "m", "--bound", "3"]) == want
+
 
 class TestCheck:
     def test_positive_verdicts_exit_zero(self, ci_file):

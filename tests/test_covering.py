@@ -17,6 +17,7 @@ from cspace import (
     circle_n_stop,
     exponential_cover,
     identity_cover,
+    idkey,
     interval_c,
     interval_j,
     lift_route,
@@ -166,6 +167,18 @@ class TestLiftingBijection:
         report = check_lifting_bijection(p, "0", "0", 5)
         ends = {lift.end for _, _, lift in report.pairs}
         assert len(ends) == report.base_classes
+
+    def test_repeated_audits_on_one_cover_match_fresh_covers(self):
+        """Both categories are answered from stores kept on the cover's
+        complexes; asking one cover again, with targets and bounds in
+        decreasing order, reports what a fresh cover reports."""
+        for build, x0 in ((lambda: exponential_cover(3, 6), "0"), (_broken_cover, "-1")):
+            p = build()
+            targets = sorted(p.base.flexible, key=idkey, reverse=True)
+            for bound in (7, 5, 3):
+                for y in targets:
+                    fresh = check_lifting_bijection(build(), x0, y, bound)
+                    assert check_lifting_bijection(p, x0, y, bound) == fresh
 
 
 def _line_over_loop(window, base_gens, total_gens, excluded=True):

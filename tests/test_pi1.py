@@ -293,3 +293,16 @@ class TestCellMoves:
         assert _classes(long) == brute_pi1_components(X, 2)
         assert _words(short, "0", "1") == {frozenset({("e",)})}
         assert _words(long, "0", "1") == {frozenset({("e",), ("f", "g")})}
+
+    def test_labels_joined_only_past_the_bound_stay_apart_below_it(self):
+        # (a) and (b) meet only through (f, g); asked at 2 first, the
+        # store holds (f, g) when bound 1 is answered from it
+        X = _free_complex(
+            {"a": ("0", "1"), "b": ("0", "1"), "f": ("0", "m"), "g": ("m", "1")},
+            [("0", "1", ("a",), ("f", "g")), ("0", "1", ("b",), ("f", "g"))],
+        )
+        long, short = pi1(X, 2), pi1(X, 1)
+        assert _classes(long) == brute_pi1_components(X, 2)
+        assert _classes(short) == brute_pi1_components(X, 1)
+        assert _words(long, "0", "1") == {frozenset({("a",), ("b",), ("f", "g")})}
+        assert _words(short, "0", "1") == {frozenset({("a",)}), frozenset({("b",)})}

@@ -6,6 +6,7 @@ these tests cover additional algebraic laws at a faster setting.
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from cspace import (
     circle_n_stop,
     enumerate_routes,
     enumerate_words,
+    exponential_cover,
     full_substructure,
     idkey,
     is_flexible_route,
@@ -476,3 +478,55 @@ class TestFundamentalCategoryAgainstTheScan:
         assert {a.labels for a in cat.arrows} == brute_pi1_components(X, 5)
         for kind, Y in _every_kind(X).items():
             _assert_same_category(pi1(Y, 5), _scan_pi1(Y, 5), kind)
+
+
+def _bound_orders(bounds):
+    """The bounds increasing, decreasing and in a fixed shuffled order."""
+    shuffled = list(bounds)
+    random.Random(1).shuffle(shuffled)
+    return [list(bounds), list(reversed(bounds)), shuffled]
+
+
+def _assert_every_order_matches_the_scan(build, bounds):
+    """``build()`` gives named complexes.  For each order of the bounds a
+    fresh set is asked every bound in that order, and each answer equals
+    the scan of a separately built complex at that bound."""
+    want = {(name, b): _scan_pi1(Y, b) for name, Y in build().items() for b in bounds}
+    for order in _bound_orders(bounds):
+        for name, Y in build().items():
+            for b in order:
+                _assert_same_category(pi1(Y, b), want[name, b], (name, order, b))
+
+
+class TestLabelStore:
+    """pi1 keeps one label store per complex and answers every bound from
+    it; whatever order bounds are asked in, each answer is a fresh build."""
+
+    @given(presented_complexes())
+    def test_every_kind_matches_the_scan_whatever_the_order_of_bounds(self, X):
+        _assert_every_order_matches_the_scan(lambda: _every_kind(X), range(5))
+
+    def test_benchmark_complexes_match_the_scan_whatever_the_order_of_bounds(self):
+        for name, (build, bounds) in BENCHMARK_POOL.items():
+            _assert_every_order_matches_the_scan(lambda: {name: build()}, bounds)
+
+    def test_exponential_cover_sides_match_the_scan_whatever_the_order_of_bounds(self):
+        def sides():
+            p = exponential_cover(3, 12)
+            return {"base": p.base, "total": p.total}
+        _assert_every_order_matches_the_scan(sides, range(6, 10))
+
+    def test_the_store_grows_to_the_largest_bound_asked(self):
+        X = product(line_c(2), line_c(2))
+        pi1(X, 3)
+        assert X._label_store.bound == 3
+        pi1(X, 2)
+        assert X._label_store.bound == 3
+        pi1(X, 4)
+        assert X._label_store.bound == 4
+        assert sorted(X._label_store.roots) == [4]
+
+    @pytest.mark.large
+    @given(presented_complexes(max_vertices=4, max_edges=6, max_cells=3, max_cell_side=3))
+    def test_larger_complexes_match_the_scan_whatever_the_order_of_bounds(self, X):
+        _assert_every_order_matches_the_scan(lambda: _every_kind(X), range(6))
