@@ -20,7 +20,6 @@ from .core import (
     check_bound,
     has_total_path_support,
     idkey,
-    is_flexible_route,
     is_flexible_space,
     path_support,
     preflexibility,
@@ -40,7 +39,6 @@ from .covering import (
 from .documents import (
     DocumentError,
     canonical_json,
-    decode_id,
     encode_id,
     load_complex,
     save_complex,
@@ -79,21 +77,73 @@ def _ids(items) -> str:
     return ",".join(render_id(v) for v in sorted(items, key=idkey))
 
 
-def _parse_id(text: str):
-    if text.startswith("["):
+# Side inputs (JSON ids on the command line, map and spec files, --route)
+# are shape-checked as they are read; an error names the field path, rooted
+# at the argument.
+
+
+def _json_id(value, path: str):
+    """A string id, or an array of ids for a tuple id."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return tuple(_json_id(v, f"{path}[{i}]") for i, v in enumerate(value))
+    raise DocumentError(path, "expected a string id or an array of ids")
+
+
+def _json_list(value, path: str, read) -> list:
+    """A list, each item read by ``read(item, item_path)``."""
+    if not isinstance(value, list):
+        raise DocumentError(path, "expected a list")
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _json_ids(value, path: str) -> list:
+    return _json_list(value, path, _json_id)
+
+
+def _json_pair(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise DocumentError(path, "expected a pair of ids")
+    return _json_id(value[0], f"{path}[0]"), _json_id(value[1], f"{path}[1]")
+
+
+def _json_position(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(path, "expected an integer position")
+    return value
+
+
+def _parse_json(text: str, what: str):
+    """JSON given on the command line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise _UsageError(f"bad {what}: {err}") from None
+    except RecursionError:
+        raise _UsageError(f"bad {what}: nesting is too deep") from None
+
+
+def _load_json(path: str):
+    """A JSON side-input file."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            return decode_id(json.loads(text))
+            return json.load(fh)
         except json.JSONDecodeError as err:
-            raise _UsageError(f"bad id {text!r}: {err}") from None
+            raise DocumentError(path, f"not valid JSON: {err}") from None
+        except RecursionError:
+            raise DocumentError(path, "not valid JSON: nesting is too deep") from None
+
+
+def _parse_id(text: str, where: str):
+    if text.startswith("["):
+        return _json_id(_parse_json(text, f"id {text!r}"), where)
     return text
 
 
-def _parse_id_list(text: str) -> list:
+def _parse_id_list(text: str, where: str) -> list:
     if text.startswith("["):
-        try:
-            return [decode_id(v) for v in json.loads(text)]
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"bad id list {text!r}: {err}") from None
+        return _json_ids(_parse_json(text, f"id list {text!r}"), where)
     return [v for v in text.split(",") if v]
 
 
@@ -104,16 +154,12 @@ def _emit(X: ControlledComplex, out: str | None) -> str:
     return f"wrote {out}"
 
 
-def _load_map(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DocumentError(path, f"not valid JSON: {err}") from None
+def _load_map(path: str, option: str) -> dict:
+    doc = _load_json(path)
     if isinstance(doc, dict):
-        return dict(doc)
+        return {k: _json_id(v, f"{option}.{k}") for k, v in doc.items()}
     if isinstance(doc, list):
-        return {decode_id(a): decode_id(b) for a, b in doc}
+        return dict(_json_list(doc, option, _json_pair))
     raise DocumentError(path, "expected an object or a list of pairs")
 
 
@@ -128,9 +174,9 @@ def _resolve_cover(args) -> CoveringMap:
         raise _UsageError("give --vmap and --emap map files")
     total = load_complex(args.total)
     base = load_complex(args.base)
-    excluded = _parse_id_list(args.excluded) if args.excluded else ()
-    return CoveringMap(total, base, _load_map(args.vmap), _load_map(args.emap),
-                       frozenset(excluded))
+    excluded = _parse_id_list(args.excluded, "--excluded") if args.excluded else ()
+    return CoveringMap(total, base, _load_map(args.vmap, "--vmap"),
+                       _load_map(args.emap, "--emap"), frozenset(excluded))
 
 
 def _add_cover_arguments(sub: argparse.ArgumentParser) -> None:
@@ -195,7 +241,7 @@ def _cmd_pi1(args) -> tuple[int, str]:
 
 def _cmd_hom(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    x, y = _parse_id(args.source), _parse_id(args.target)
+    x, y = _parse_id(args.source, "source"), _parse_id(args.target, "target")
     for v in (x, y):
         if v not in X.flexible:
             raise StructureError(f"{render_id(v)} is not a flexible vertex")
@@ -209,7 +255,7 @@ def _cmd_hom(args) -> tuple[int, str]:
 
 def _cmd_monoid(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    table = fundamental_monoid(X, _parse_id(args.basepoint), args.bound)
+    table = fundamental_monoid(X, _parse_id(args.basepoint, "basepoint"), args.bound)
     flag = "yes" if table.truncated else "no"
     lines = [
         f"classes: {len(table.classes)}; identity: {table.identity_index}; "
@@ -235,40 +281,10 @@ def _cmd_reflect(args) -> tuple[int, str]:
     return 0, _emit(reflector(X), args.output)
 
 
-_PART_NAMES = {
-    "product": ("left factor", "right factor"),
-    "sum": ("left summand", "right summand"),
-}
-
-
-def _flexibility_witness(X: ControlledComplex) -> str | None:
-    """Why X is not a flexible space: a stiff vertex, a generator with an
-    uncontrolled restriction, or, for a complex built by a recipe, the
-    witness of the first part that is not a flexible space."""
-    stiff = sorted(X.graph.vertices - X.flexible, key=idkey)
-    if stiff:
-        return f"vertex {render_id(stiff[0])} is not flexible"
-    if X.generators is not None:
-        for g in sorted(X.generators, key=Route.sort_key):
-            if not is_flexible_route(X, g):
-                return f"generator {g} has an uncontrolled restriction"
-        return None
-    recipe = X.recipe()
-    if recipe is not None:
-        op, parts, _ = recipe
-        for name, part in zip(_PART_NAMES.get(op, ("base",)), parts):
-            if not is_flexible_space(part):
-                inner = _flexibility_witness(part)
-                return f"{name}: {inner}" if inner else None
-    return None
-
-
 def _check_flexible(X) -> tuple[int, str]:
-    if is_flexible_space(X):
-        return 0, "flexible: yes"
-    witness = _flexibility_witness(X)
+    witness = X.flexibility_witness()
     if witness is None:
-        return 1, "flexible: no"
+        return 0, "flexible: yes"
     return 1, f"flexible: no\nwitness: {witness}"
 
 
@@ -342,21 +358,17 @@ def _cmd_op(args) -> tuple[int, str]:
 
 def _cmd_restrict(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    keep = _parse_id_list(args.keep)
+    keep = _parse_id_list(args.keep, "--keep")
     return 0, _emit(full_substructure(X, keep), args.output)
 
 
 def _cmd_quotient(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    with open(args.spec, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DocumentError(args.spec, f"not valid JSON: {err}") from None
+    doc = _load_json(args.spec)
     if not isinstance(doc, dict):
         raise DocumentError(args.spec, "expected an object")
-    blocks = [[decode_id(v) for v in block] for block in doc.get("blocks", [])]
-    collapse = [decode_id(e) for e in doc.get("collapse", [])]
+    blocks = _json_list(doc.get("blocks", []), "--spec.blocks", _json_ids)
+    collapse = _json_ids(doc.get("collapse", []), "--spec.collapse")
     spec = QuotientSpec(blocks=blocks, collapse=collapse)
     return 0, _emit(quotient(X, spec), args.output)
 
@@ -377,24 +389,23 @@ def _cmd_cover_validate(args) -> tuple[int, str]:
 
 def _cmd_cover_lift(args) -> tuple[int, str]:
     p = _resolve_cover(args)
-    try:
-        doc = json.loads(args.route)
-    except json.JSONDecodeError as err:
-        raise _UsageError(f"bad --route JSON: {err}") from None
+    doc = _parse_json(args.route, "--route JSON")
     if not isinstance(doc, dict) or "start" not in doc:
         raise _UsageError("--route needs an object with start, edges, dwells")
     b = p.base.graph.route(
-        decode_id(doc["start"]),
-        tuple(decode_id(e) for e in doc.get("edges", [])),
-        frozenset(doc.get("dwells", [])),
+        _json_id(doc["start"], "--route.start"),
+        _json_ids(doc.get("edges", []), "--route.edges"),
+        _json_list(doc.get("dwells", []), "--route.dwells", _json_position),
     )
-    lift = lift_route(p, b, _parse_id(args.start))
+    lift = lift_route(p, b, _parse_id(args.start, "--from"))
     return 0, f"lift: {lift}"
 
 
 def _cmd_cover_bijection(args) -> tuple[int, str]:
     p = _resolve_cover(args)
-    rep = check_lifting_bijection(p, _parse_id(args.start), _parse_id(args.to), args.bound)
+    rep = check_lifting_bijection(
+        p, _parse_id(args.start, "--from"), _parse_id(args.to, "--to"), args.bound
+    )
     lines = [
         f"base classes: {rep.base_classes}; total classes: {rep.total_classes}; "
         f"fibre: {_ids(rep.fibre)}",

@@ -11,18 +11,28 @@ the closure of its generators under three rules:
   * insertion of a dwell at any position of a controlled route.
 
 Dwell durations are quotiented away, so dwell sets are sets, not
-multisets, and a constant route carries no dwell at all.  Because more
-dwells are always legal, the controlled decorations of one dwell-free
-word form an up-set: the supersets of a finite antichain of minimal
-dwell sets, which ``minimal_dwell_sets`` returns and which each kind of
-complex declares.  For a presented complex it comes from interval
-dynamic programming over the generator words: a route is controlled iff
-its edge word splits into generator words and its dwell set contains
-every dwell the chosen generators require, with coincident requirements
-at a junction merging into the single dwell position there.  Audits
-over many decorations (oracle comparison, covering validation) ask for
-the antichain once per word; a single route is decided by the boolean
-form of the same DP.
+multisets, and a constant route carries no dwell at all.  Every kind of
+complex answers membership through one method, ``_accepts(start, word,
+end, dwells, memo)``, on a graph-valid edge word with its dwell set as a
+bitmask (bit i marks a dwell at position i).  A presented complex runs
+interval dynamic programming over the generator words: the word must
+split into generator words whose required dwells, shifted to where each
+generator starts, lie in the mask.  The other kinds ask their parts
+through ``_accepts_in``, which keeps the parts' answers in the caller's
+``memo``: a product splits word and mask into its factors' words and
+masks, a sum hands the word to its summand, a full substructure to its
+base, and the flexible part asks its base once per word.  The public
+entry points are thin: ``is_controlled`` validates a ``Route`` once and
+asks ``_accepts``; ``pi1``'s realizability is ``_accepts`` at the full
+mask, the maximal decoration.
+
+Because more dwells are always legal, the controlled decorations of one
+dwell-free word form an up-set: the supersets of a finite antichain of
+minimal dwell sets, which ``minimal_dwell_sets`` returns and which each
+kind of complex declares (a presented complex by the antichain form of
+its DP, the others from their parts or by asking ``_accepts`` on masks by
+increasing size).  Audits over many decorations (oracle comparison,
+covering validation) ask for the antichain once per word.
 
 The module also provides the four reflectors (generated d-space, flexible
 part, preflexible hull, border-flexible rewrite) and the classification
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 
 VertexId = Hashable
 EdgeId = Hashable
+Word = tuple[EdgeId, ...]
 
 __all__ = [
     "CspaceError",
@@ -48,6 +59,8 @@ __all__ = [
     "Graph",
     "ControlledComplex",
     "PresentedComplex",
+    "FlexiblePart",
+    "PreflexibleHull",
     "idkey",
     "render_id",
     "route_concat",
@@ -385,6 +398,15 @@ def _dwell_width(length: int) -> int:
     return length + 1 if length else 0
 
 
+def _full_mask(length: int) -> int:
+    """Every dwell position of a ``length``-edge word: the maximal decoration."""
+    return (1 << _dwell_width(length)) - 1
+
+
+def _mask(dwells: Iterable[int]) -> int:
+    return sum(1 << d for d in dwells)
+
+
 def _positions(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -432,9 +454,10 @@ def _upset_size(needs: Iterable[int], width: int) -> int:
 class ControlledComplex:
     """A graph, square cells, a flexible vertex set and a membership oracle.
 
-    Instances are immutable.  Subclasses implement ``_decide`` (membership
-    for a graph-valid route) and override ``_minimal_dwells`` and the
-    structural methods below where their kind has a rule.
+    Instances are immutable.  Subclasses implement ``_accepts`` (membership
+    of a graph-valid word with a dwell mask) and override
+    ``_minimal_dwells`` and the structural methods below where their kind
+    has a rule.
     """
 
     tag = "abstract"
@@ -476,31 +499,27 @@ class ControlledComplex:
 
     def is_controlled(self, r: Route) -> bool:
         self._graph.validate_route(r)
-        return self._decide(r)
+        return self._accepts(r.start, r.edges, r.end, _mask(r.dwells), {})
 
-    def _decide(self, r: Route) -> bool:
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        """Whether the graph-valid word from ``start`` to ``end`` with the
+        dwell mask ``dwells`` is controlled.  A constant route's mask is 0.
+        ``memo`` belongs to one caller; kinds built from other complexes
+        keep their parts' answers there through ``_accepts_in``."""
         raise NotImplementedError
 
-    def _realizable(
-        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
-    ) -> bool:
-        """Whether the maximal decoration of the graph-valid word is
-        controlled.  ``memo`` belongs to one caller; kinds built from
-        other complexes keep their parts' answers there through
-        ``_realizable_in``.  The default asks ``_decide``."""
-        return self._decide(max_decoration(start, end, word))
-
-    def _minimal_dwells(self, r: Route) -> frozenset[int]:
-        """Minimal dwell sets, as bitmasks, of the dwell-free graph-valid
-        route ``r``.  The default uses monotonicity alone: nothing if the
-        fully dwelled decoration is rejected, else ``_decide`` on the dwell
-        sets by increasing size, skipping supersets of sets already found."""
-        full = (1 << _dwell_width(len(r.edges))) - 1
-        if not self._decide(_decorate(r, full)):
+    def _minimal_dwells(self, start: VertexId, word: Word, end: VertexId) -> frozenset[int]:
+        """Minimal dwell sets, as bitmasks, of the graph-valid word.  The
+        default uses monotonicity alone: nothing if the full mask is
+        rejected, else ``_accepts`` on the masks by increasing size,
+        skipping supersets of masks already found, with one memo for all."""
+        memo: dict = {}
+        if not self._accepts(start, word, end, _full_mask(len(word)), memo):
             return frozenset()
         found: list[int] = []
-        for mask in _dwell_masks(len(r.edges)):
-            if not _satisfies(mask, found) and self._decide(_decorate(r, mask)):
+        for mask in _dwell_masks(len(word)):
+            if not _satisfies(mask, found) and self._accepts(start, word, end, mask, memo):
                 found.append(mask)
         return frozenset(found)
 
@@ -512,12 +531,15 @@ class ControlledComplex:
         """Superset of the path support; used for truncation flags."""
         return self._graph.vertices, self._graph.edge_ids
 
-    def structural_flexibility(self) -> bool:
-        """Exact flexible-space verdict from the kind's structure.
+    def flexibility_witness(self) -> str | None:
+        """Why this complex is not a flexible space, or None when it is.
 
-        ``is_flexible_space`` checks the vertices first, so a kind may
-        assume that every vertex is flexible."""
-        raise NotImplementedError
+        Exact from the kind's structure.  A vertex that is not flexible
+        comes first; kinds with more to check extend this.  The flexible
+        part and the preflexible hull keep it: once every vertex is
+        flexible, their routes are flexible by construction."""
+        stiff = sorted(self._graph.vertices - self._flexible, key=idkey)
+        return f"vertex {render_id(stiff[0])} is not flexible" if stiff else None
 
     def recipe(self) -> Recipe | None:
         """The construction that rebuilds this complex, if it has one."""
@@ -530,16 +552,34 @@ class ControlledComplex:
         )
 
 
-def _realizable_in(
-    X: ControlledComplex, start: VertexId, word: tuple[EdgeId, ...], end: VertexId,
-    memo: dict,
-) -> bool:
-    """``X._realizable`` kept in ``memo`` under ``(X, start, word)``."""
-    key = (X, start, word)
+def _accepts_in(X: ControlledComplex, start: VertexId, word: Word, end: VertexId,
+                dwells: int, memo: dict) -> bool:
+    """``X._accepts`` kept in ``memo`` under ``(X, start, word, dwells)``."""
+    key = (X, start, word, dwells)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = X._realizable(start, word, end, memo)
+        hit = memo[key] = X._accepts(start, word, end, dwells, memo)
     return hit
+
+
+def _part_witness(*named: tuple[str, ControlledComplex]) -> str | None:
+    """The witness of the first part that is not a flexible space, after
+    the part's name."""
+    for name, part in named:
+        inner = part.flexibility_witness()
+        if inner is not None:
+            return f"{name}: {inner}"
+    return None
+
+
+def _generator_witness(X: ControlledComplex) -> str | None:
+    """The first generator, in route order, with an uncontrolled
+    restriction.  Generators suffice: flexibility is closed under
+    concatenation and dwell insertion."""
+    for g in sorted(X.generators, key=Route.sort_key):
+        if not is_flexible_route(X, g):
+            return f"generator {g} has an uncontrolled restriction"
+    return None
 
 
 class PresentedComplex(ControlledComplex):
@@ -566,11 +606,12 @@ class PresentedComplex(ControlledComplex):
             flexible.add(g.end)
         super().__init__(graph, cells, flexible)
         self._generators = gens
-        # nonempty generators drive the DP; constants only mark flexibility
-        self._words = sorted(
-            (g for g in gens if g.edges), key=Route.sort_key
-        )
-        self._needs = [sum(1 << d for d in g.dwells) for g in self._words]
+        # nonempty generators drive the DP, as (edge word, mask of required
+        # dwells); constants only mark flexibility
+        self._words = [
+            (g.edges, _mask(g.dwells))
+            for g in sorted((g for g in gens if g.edges), key=Route.sort_key)
+        ]
         self._recipe: Recipe | None = None
 
     @classmethod
@@ -590,59 +631,40 @@ class PresentedComplex(ControlledComplex):
     def recipe(self) -> Recipe | None:
         return self._recipe
 
-    def _decide(self, r: Route) -> bool:
-        return self._splits(r.start, r.edges, r.dwells)
-
-    def _realizable(
-        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
-    ) -> bool:
-        """Every dwell is present, so only the generator split counts."""
-        return self._splits(start, word, None)
-
-    def _splits(
-        self, start: VertexId, word: tuple[EdgeId, ...], dwells: frozenset[int] | None
-    ) -> bool:
-        """Whether the word splits into generator words whose dwells lie
-        in ``dwells``; ``None`` stands for every position."""
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        """Whether the word splits into generator words whose required
+        dwells, shifted to where each generator starts, lie in ``dwells``."""
         if not word:
             return start in self._flexible
         n = len(word)
-        ok = [False] * (n + 1)
-        ok[0] = True
+        ok = [True] + [False] * n
         for c in range(1, n + 1):
-            for g in self._words:
-                m = len(g.edges)
-                if m > c or not ok[c - m]:
-                    continue
-                if word[c - m : c] != g.edges:
-                    continue
-                if dwells is None or all((d + c - m) in dwells for d in g.dwells):
+            for g, need in self._words:
+                p = c - len(g)
+                if p >= 0 and ok[p] and word[p:c] == g and not (need << p) & ~dwells:
                     ok[c] = True
                     break
         return ok[n]
 
-    def _minimal_dwells(self, r: Route) -> frozenset[int]:
-        """The DP of ``_decide`` over antichains: each prefix keeps the
+    def _minimal_dwells(self, start: VertexId, word: Word, end: VertexId) -> frozenset[int]:
+        """The DP of ``_accepts`` over antichains: each prefix keeps the
         minimal unions of the dwells its generator splits require."""
-        if not r.edges:
-            return frozenset({0}) if r.start in self._flexible else frozenset()
-        n = len(r.edges)
+        if not word:
+            return frozenset({0}) if start in self._flexible else frozenset()
+        n = len(word)
         needs: list[frozenset[int]] = [frozenset({0})] + [frozenset()] * n
         for c in range(1, n + 1):
             found: set[int] = set()
-            for g, need in zip(self._words, self._needs):
-                m = len(g.edges)
-                if m > c or not needs[c - m] or r.edges[c - m : c] != g.edges:
-                    continue
-                shifted = need << (c - m)
-                found.update(a | shifted for a in needs[c - m])
+            for g, need in self._words:
+                p = c - len(g)
+                if p >= 0 and needs[p] and word[p:c] == g:
+                    found.update(a | need << p for a in needs[p])
             needs[c] = _minimal(found)
         return needs[n]
 
-    def structural_flexibility(self) -> bool:
-        """Generators suffice: flexibility is closed under concatenation
-        and dwell insertion."""
-        return all(is_flexible_route(self, g) for g in self._generators)
+    def flexibility_witness(self) -> str | None:
+        return super().flexibility_witness() or _generator_witness(self)
 
     def path_support(self) -> Support:
         """The union over generators."""
@@ -669,11 +691,12 @@ def is_flexible_route(X: ControlledComplex, r: Route) -> bool:
 def is_flexible_space(X: ControlledComplex) -> bool:
     """All vertices flexible and all controlled routes flexible.
 
-    Exact for every kind: presented complexes check their generators,
-    products and sums their factors, full substructures their base, and
-    the flexible part and preflexible hull hold by construction.
+    Exact for every kind, through ``flexibility_witness``: presented
+    complexes check their generators, products and sums their factors,
+    full substructures their base, and the flexible part and preflexible
+    hull hold by construction once every vertex is flexible.
     """
-    return X.graph.vertices == X.flexible and X.structural_flexibility()
+    return X.flexibility_witness() is None
 
 
 def path_support(X: ControlledComplex) -> Support:
@@ -699,17 +722,10 @@ def enumerate_words(
             yield v, word, end
 
 
-def enumerate_routes(
-    graph: Graph,
-    max_len: int,
-    all_dwell_sets: bool = True,
-) -> Iterator[Route]:
-    """Every graph-valid route up to ``max_len``, by default with every
-    dwell subset.  Exponential in the word length; meant for small bounds."""
+def enumerate_routes(graph: Graph, max_len: int) -> Iterator[Route]:
+    """Every graph-valid route up to ``max_len``, with every dwell subset.
+    Exponential in the word length; meant for small bounds."""
     for start, word, end in enumerate_words(graph, max_len):
-        if not all_dwell_sets:
-            yield Route(start, end, word)
-            continue
         for mask in _dwell_masks(len(word)):
             yield Route(start, end, word, _positions(mask))
 
@@ -725,7 +741,7 @@ def minimal_dwell_sets(
     the same decorations iff their antichains are equal.
     """
     r = X.graph.route(start, word)
-    return frozenset(_positions(m) for m in X._minimal_dwells(r))
+    return frozenset(_positions(m) for m in X._minimal_dwells(start, r.edges, r.end))
 
 
 def oracle_equivalent(
@@ -754,7 +770,9 @@ def oracle_equivalent(
     for start, word, end in enumerate_words(X.graph, bound):
         image = Route(vmap[start], vmap[end], tuple(emap[e] for e in word))
         Y.graph.validate_route(image)
-        if X._minimal_dwells(Route(start, end, word)) != Y._minimal_dwells(image):
+        if X._minimal_dwells(start, word, end) != Y._minimal_dwells(
+            image.start, image.edges, image.end
+        ):
             return False
     return True
 
@@ -827,26 +845,27 @@ class FlexiblePart(ControlledComplex):
         super().__init__(graph, cells, flex)
         self.base = base
 
-    def _decide(self, r: Route) -> bool:
-        return is_flexible_route(self.base, r)
-
-    def _realizable(
-        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
-    ) -> bool:
-        """Every restriction of the maximal decoration restricts the word
-        without its last or its first edge, except the whole word with
-        its interior dwells, so each word adds one base query."""
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        """A route is flexible iff every restriction is controlled in the
+        base.  A restriction keeps only the dwells inside its span, so the
+        route's own boundary dwells never count, and every restriction but
+        the whole span restricts the word without its last or its first
+        edge: each word adds one base query.  The shorter words are asked
+        with both boundary dwells set, so a maximal decoration meets its
+        own memo entries."""
         n = len(word)
         if not n:
-            return self.base._decide(Route.constant(start))
+            return self.base._accepts(start, word, end, 0, memo)
+        low = (1 << (n - 1)) - 1  # positions 0..n-2
+        edge = (1 | 1 << (n - 1)) if n > 1 else 0  # a shorter word's boundary
         return (
-            _realizable_in(self, start, word[:-1], self._graph.src(word[-1]), memo)
-            and _realizable_in(self, self._graph.dst(word[0]), word[1:], end, memo)
-            and self.base._decide(Route(start, end, word, frozenset(range(1, n))))
+            _accepts_in(self, start, word[:-1], self._graph.src(word[-1]),
+                        (dwells & low) | edge, memo)
+            and _accepts_in(self, self._graph.dst(word[0]), word[1:], end,
+                            (dwells >> 1 & low) | edge, memo)
+            and self.base._accepts(start, word, end, dwells & low << 1, memo)
         )
-
-    def structural_flexibility(self) -> bool:
-        return True
 
     def recipe(self) -> Recipe:
         return ("fl", (self.base,), None)
@@ -871,17 +890,14 @@ class PreflexibleHull(ControlledComplex):
         super().__init__(base.graph, base.cells, base.flexible)
         self.base = base
 
-    def _decide(self, r: Route) -> bool:
-        if r.start not in self._flexible or r.end not in self._flexible:
-            return False
-        return all(self._dhat.has_edge(e) for e in r.edges)
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        return (start in self._flexible and end in self._flexible
+                and all(self._dhat.has_edge(e) for e in word))
 
-    def _minimal_dwells(self, r: Route) -> frozenset[int]:
+    def _minimal_dwells(self, start: VertexId, word: Word, end: VertexId) -> frozenset[int]:
         """Dwells play no part: every decoration or none."""
-        return frozenset({0}) if self._decide(r) else frozenset()
-
-    def structural_flexibility(self) -> bool:
-        return self.graph.vertices == self._flexible
+        return frozenset({0}) if self._accepts(start, word, end, 0, {}) else frozenset()
 
     def support_upper(self) -> Support:
         return self._dhat.vertices, self._dhat.edge_ids

@@ -246,14 +246,15 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     lift_ok = True
     checked = 0
     skipped = 0
+    total, memo = p.total, {}
     for start, word, end in enumerate_words(bg, bound):
-        b = Route(start, end, word)
-        needs = p.base._minimal_dwells(b)
+        needs = p.base._minimal_dwells(start, word, end)
         if not needs:
             continue
+        b = Route(start, end, word)
         lifts = [_lift_or_witness(p, b, x0) for x0 in p.fibre(start)]
         if not any(isinstance(lift, str) for lift in lifts) and all(
-            p.total.is_controlled(_decorate(lift, need))
+            total._accepts(lift.start, lift.edges, lift.end, need, memo)
             for lift in lifts if lift is not None for need in needs
         ):
             decorations = _upset_size(needs, _dwell_width(len(word)))
@@ -271,10 +272,10 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
                     witnesses.append(lift)
                 else:
                     checked += 1
-                    decorated = _decorate(lift, mask)
-                    if not p.total.is_controlled(decorated):
+                    if not total._accepts(lift.start, lift.edges, lift.end, mask, memo):
                         witnesses.append(
-                            f"lift {decorated} of {_decorate(b, mask)} is not controlled"
+                            f"lift {_decorate(lift, mask)} of {_decorate(b, mask)} "
+                            "is not controlled"
                         )
     valid = star_ok and lift_ok and flexible_ok
     return CoveringReport(

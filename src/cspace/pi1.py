@@ -4,12 +4,11 @@ Objects are the flexible vertices.  Arrows are equivalence classes of
 labels, where a label is a start vertex plus a dwell-erased edge word; a
 label stands for every dwell decoration of itself, and it is realizable
 iff its maximal decoration is controlled (membership only ever requires
-dwells, so the maximal decoration is the weakest to refuse).  Each kind
-of complex answers that through ``_realizable``: a presented complex
-only needs a generator split of the word, a product asks its factors
-about the projected words, the flexible part asks its base once per
-word and reuses the answers for the word without its first or last
-edge, and the other kinds decide the maximal decoration.  Two labels
+dwells, so the maximal decoration is the weakest to refuse).  That is
+the membership method every kind declares, ``_accepts``, asked at the
+full dwell mask, with one memo for the whole walk: a product's factor
+words recur across many product words, and the flexible part's answers
+for the word without its first or last edge are already there.  Two labels
 are equivalent when a chain of cell moves joins them: replacing one
 contiguous occurrence of a cell side by the other side, both whole labels
 realizable and within the length bound.  Representatives are the least
@@ -51,7 +50,8 @@ from .core import (
     Route,
     StructureError,
     VertexId,
-    _realizable_in,
+    _accepts_in,
+    _full_mask,
     check_bound,
     idkey,
     reflect_dhat,
@@ -65,6 +65,7 @@ __all__ = [
     "ArrowClass",
     "FundamentalCategory",
     "pi1",
+    "is_realizable",
     "hom_classes",
     "MonoidTable",
     "fundamental_monoid",
@@ -85,7 +86,7 @@ Label = tuple  # (start vertex, dwell-erased edge word)
 def is_realizable(X: ControlledComplex, start: VertexId, word: tuple[EdgeId, ...]) -> bool:
     """Whether the maximal decoration of the word is controlled in X."""
     r = X.graph.route(start, word)
-    return X._realizable(start, r.edges, r.end, {})
+    return X._accepts(start, r.edges, r.end, _full_mask(len(r.edges)), {})
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class FundamentalCategory:
     def identity(self, x: VertexId) -> ArrowClass:
         a = self.class_of_label(x, ())
         if a is None:
-            raise StructureError(f"no identity at {x!r}: vertex is not an object")
+            raise StructureError(f"no identity at {render_id(x)}: vertex is not an object")
         return a
 
     def compose(self, a: ArrowClass, b: ArrowClass) -> ArrowClass | None:
@@ -170,8 +171,8 @@ class FundamentalCategory:
         concatenated representative exceeds the bound."""
         if a.target != b.source:
             raise CompositionError(
-                f"cannot compose: first arrow ends at {a.target!r}, "
-                f"second starts at {b.source!r}"
+                f"cannot compose: first arrow ends at {render_id(a.target)}, "
+                f"second starts at {render_id(b.source)}"
             )
         word = a.rep.edges + b.rep.edges
         if len(word) > self._bound:
@@ -248,7 +249,7 @@ class _LabelStore:
         # end and length leaves each (start, end, length) block in that order
         for x in sorted(X.flexible, key=idkey):
             for word, end in X.graph.iter_words(x, bound):
-                if _realizable_in(X, x, word, end, memo):
+                if _accepts_in(X, x, word, end, _full_mask(len(word)), memo):
                     key = (rank[x] * len(rank) + rank[end]) * width + len(word)
                     found.append((key, (x, word)))
         found.sort(key=itemgetter(0))
@@ -547,8 +548,7 @@ def check_product_preservation(
 
     def project(label: Label) -> tuple[Label, Label]:
         (x, y), word = label
-        lw = tuple(step[1] for step in word if step[0] == "L")
-        rw = tuple(step[2] for step in word if step[0] == "R")
+        lw, _, rw, _ = P._split(word, 0)
         return (x, lw), (y, rw)
 
     homs_ok = True

@@ -22,10 +22,14 @@ from .core import (
     StructureError,
     Support,
     VertexId,
-    _realizable_in,
+    Word,
+    _accepts_in,
+    _generator_witness,
+    _mask,
+    _part_witness,
+    _positions,
     idkey,
     is_flexible_route,
-    is_flexible_space,
     path_support,
     reflect_fl,
     reflect_pf,
@@ -214,9 +218,10 @@ class ProductComplex(ControlledComplex):
 
     Vertices are pairs.  A step in one factor projects to a dwell in the
     other, and adjacent projected dwells merge, so a route is controlled
-    iff both projections are.  Cells are one interchange square per edge
-    pair plus every factor cell lifted at each opposite-factor vertex
-    (over-emission is harmless: moves are filtered by realizability).
+    iff both projections are; ``_split`` makes both in one pass.  Cells
+    are one interchange square per edge pair plus every factor cell
+    lifted at each opposite-factor vertex (over-emission is harmless:
+    moves are filtered by realizability).
     """
 
     tag = "product"
@@ -264,47 +269,52 @@ class ProductComplex(ControlledComplex):
         return Route((x, r.start), (x, r.end), tuple(_v_edge(x, e) for e in r.edges))
 
     def project_left(self, r: Route) -> Route:
-        return self._project(r, 0)
+        word, dwells, _, _ = self._split(r.edges, _mask(r.dwells))
+        return Route(r.start[0], r.end[0], word, _positions(dwells))
 
     def project_right(self, r: Route) -> Route:
-        return self._project(r, 1)
+        _, _, word, dwells = self._split(r.edges, _mask(r.dwells))
+        return Route(r.start[1], r.end[1], word, _positions(dwells))
 
-    def _project(self, r: Route, side: int) -> Route:
-        mine = "L" if side == 0 else "R"
-        pos = 0
-        pos_at = [0]
-        edges: list[EdgeId] = []
-        for step in r.edges:
-            if step[0] == mine:
-                edges.append(step[1] if side == 0 else step[2])
-                pos += 1
-            pos_at.append(pos)
-        dwells = {pos_at[i] for i in r.dwells}
-        dwells.update(
-            pos_at[i] for i, step in enumerate(r.edges) if step[0] != mine
+    @staticmethod
+    def _split(word: Word, dwells: int) -> tuple[Word, int, Word, int]:
+        """The left word and mask, then the right ones.  A dwell is a dwell
+        in both factors, and a step in one factor is a dwell in the other,
+        at the position that factor has reached.  A factor the word never
+        steps in gets the constant route's mask, 0."""
+        left: list[EdgeId] = []
+        right: list[EdgeId] = []
+        lmask = rmask = 0
+        bit = 1  # the position before the step
+        for step in word:
+            if dwells & bit:
+                lmask |= 1 << len(left)
+                rmask |= 1 << len(right)
+            bit <<= 1
+            if step[0] == "L":
+                rmask |= 1 << len(right)
+                left.append(step[1])
+            else:
+                lmask |= 1 << len(left)
+                right.append(step[2])
+        if dwells & bit:
+            lmask |= 1 << len(left)
+            rmask |= 1 << len(right)
+        return tuple(left), lmask if left else 0, tuple(right), rmask if right else 0
+
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        lw, lmask, rw, rmask = self._split(word, dwells)
+        return _accepts_in(self.left, start[0], lw, end[0], lmask, memo) and _accepts_in(
+            self.right, start[1], rw, end[1], rmask, memo
         )
-        return Route(r.start[side], r.end[side], tuple(edges), frozenset(dwells))
 
-    def _decide(self, r: Route) -> bool:
-        return self.left.is_controlled(self.project_left(r)) and self.right.is_controlled(
-            self.project_right(r)
-        )
-
-    def _realizable(
-        self, start: VertexId, word: tuple[EdgeId, ...], end: VertexId, memo: dict
-    ) -> bool:
-        """The maximal decoration projects to the maximal decorations of
-        the factor words."""
-        lw = tuple(step[1] for step in word if step[0] == "L")
-        rw = tuple(step[2] for step in word if step[0] == "R")
-        return _realizable_in(self.left, start[0], lw, end[0], memo) and _realizable_in(
-            self.right, start[1], rw, end[1], memo
-        )
-
-    def structural_flexibility(self) -> bool:
+    def flexibility_witness(self) -> str | None:
         if not self.graph.vertices:
-            return True
-        return is_flexible_space(self.left) and is_flexible_space(self.right)
+            return None
+        return super().flexibility_witness() or _part_witness(
+            ("left factor", self.left), ("right factor", self.right)
+        )
 
     @staticmethod
     def _pair_support(left: Support, right: Support) -> Support:
@@ -387,23 +397,24 @@ class SumComplex(ControlledComplex):
     def generators(self) -> frozenset[Route] | None:
         return self._generators
 
-    def _untag(self, r: Route) -> tuple[ControlledComplex, Route]:
-        """The summand r lives in, and r in its ids."""
-        summand = self.left if r.start[0] == "L" else self.right
-        return summand, Route(
-            r.start[1], r.end[1], tuple(e[1] for e in r.edges), r.dwells
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        """The summand the route lives in decides it in its own ids."""
+        summand = self.left if start[0] == "L" else self.right
+        return _accepts_in(summand, start[1], tuple(e for _, e in word), end[1], dwells, memo)
+
+    def _minimal_dwells(self, start: VertexId, word: Word, end: VertexId) -> frozenset[int]:
+        summand = self.left if start[0] == "L" else self.right
+        return summand._minimal_dwells(start[1], tuple(e for _, e in word), end[1])
+
+    def flexibility_witness(self) -> str | None:
+        """Summands with generators give the sum tagged ones, which name
+        the failing route; otherwise the failing summand is named."""
+        if self._generators is not None:
+            return super().flexibility_witness() or _generator_witness(self)
+        return super().flexibility_witness() or _part_witness(
+            ("left summand", self.left), ("right summand", self.right)
         )
-
-    def _decide(self, r: Route) -> bool:
-        summand, plain = self._untag(r)
-        return summand.is_controlled(plain)
-
-    def _minimal_dwells(self, r: Route) -> frozenset[int]:
-        summand, plain = self._untag(r)
-        return summand._minimal_dwells(plain)
-
-    def structural_flexibility(self) -> bool:
-        return is_flexible_space(self.left) and is_flexible_space(self.right)
 
     @staticmethod
     def _tag_support(left: Support, right: Support) -> Support:
@@ -485,19 +496,19 @@ class RestrictedComplex(ControlledComplex):
         self.base = base
         self.keep = keep
 
-    def _decide(self, r: Route) -> bool:
-        if r.start not in self.keep or r.end not in self.keep:
-            return False
-        return self.base.is_controlled(r)
+    def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
+                 memo: dict) -> bool:
+        return (start in self.keep and end in self.keep
+                and _accepts_in(self.base, start, word, end, dwells, memo))
 
-    def _minimal_dwells(self, r: Route) -> frozenset[int]:
-        if r.start not in self.keep or r.end not in self.keep:
+    def _minimal_dwells(self, start: VertexId, word: Word, end: VertexId) -> frozenset[int]:
+        if start not in self.keep or end not in self.keep:
             return frozenset()
-        return self.base._minimal_dwells(r)
+        return self.base._minimal_dwells(start, word, end)
 
-    def structural_flexibility(self) -> bool:
+    def flexibility_witness(self) -> str | None:
         """Keeping every vertex controls exactly what the base controls."""
-        return is_flexible_space(self.base)
+        return super().flexibility_witness() or _part_witness(("base", self.base))
 
     def support_upper(self) -> Support:
         return self.base.support_upper()

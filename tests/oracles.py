@@ -4,9 +4,12 @@ These re-derive controlled-route membership and arrow classes by forward
 saturation of the closure rules, sharing no decision code with the
 package: membership comes from enumerating generator decompositions
 breadth-first, and arrow classes come from an explicit rewrite closure
-over realizable words.  The covering audit decides every decoration of
-every base route through the saturation table, sharing only the route
-enumeration with the package.  Property tests compare the package's
+over realizable words.  Membership in a complex built from others
+follows the literal definition of its construction on top of that
+table: a product route through both of its projections, a flexible-part
+route through every one of its sub-routes.  The covering audit decides
+every decoration of every base route through the saturation table,
+sharing only the route enumeration with the package.  Property tests compare the package's
 answers against these.
 """
 from __future__ import annotations
@@ -80,6 +83,64 @@ def brute_is_controlled(table: dict, r: Route) -> bool:
     if not options:
         return False
     return any(need <= r.dwells for need in options)
+
+
+def _project(r: Route, tag: str) -> Route:
+    """The projection of a product route onto the factor ``tag`` ("L" or
+    "R"): ``pos_at[i]`` counts the factor's own steps among the first i
+    steps; the route's dwells map through it, and every step in the other
+    factor is a dwell where the factor stands."""
+    side = 0 if tag == "L" else 1
+    pos_at = [0]
+    edges = []
+    for step in r.edges:
+        if step[0] == tag:
+            edges.append(step[1 + side])
+        pos_at.append(len(edges))
+    dwells = {pos_at[i] for i in r.dwells}
+    dwells |= {pos_at[i] for i, step in enumerate(r.edges) if step[0] != tag}
+    return Route(r.start[side], r.end[side], tuple(edges), frozenset(dwells))
+
+
+def _sub_routes(X: ControlledComplex, r: Route) -> list:
+    """Every restriction of r: each span p..q with the dwells strictly
+    inside it, re-indexed from p."""
+    chain = _visited(X, r.start, r.edges)
+    n = len(r.edges)
+    return [Route(chain[p], chain[q], r.edges[p:q],
+                  frozenset(d - p for d in r.dwells if p < d < q))
+            for p in range(n + 1) for q in range(p, n + 1)]
+
+
+def brute_membership(X: ControlledComplex, max_len: int):
+    """Membership in X, for routes of at most ``max_len`` edges, from the
+    definition of X's construction.  A complex with generators reads
+    ``brute_route_table``; a product route is controlled iff both
+    projections are, a flexible-part route iff every sub-route is
+    controlled in the base, a sum route iff it is in its summand, a full
+    substructure route iff its ends are kept and the base controls it, and
+    a preflexible-hull route iff its ends are flexible and every edge lies
+    on a generator of the base."""
+    if X.generators is not None:
+        table = brute_route_table(X, max_len)
+        return lambda r: brute_is_controlled(table, r)
+    op, parts, keep = X.recipe()
+    inner = [brute_membership(part, max_len) for part in parts]
+    if op == "product":
+        return lambda r: inner[0](_project(r, "L")) and inner[1](_project(r, "R"))
+    if op == "fl":
+        return lambda r: all(inner[0](s) for s in _sub_routes(X, r))
+    if op == "sum":
+        return lambda r: inner[0 if r.start[0] == "L" else 1](
+            Route(r.start[1], r.end[1], tuple(e for _, e in r.edges), r.dwells))
+    if op == "restrict":
+        return lambda r: r.start in keep and r.end in keep and inner[0](r)
+    if op == "pf":
+        base = parts[0]
+        used = {e for g in base.generators for e in g.edges}
+        return lambda r: (r.start in base.flexible and r.end in base.flexible
+                          and all(e in used for e in r.edges))
+    raise ValueError(f"no literal membership for {op!r}")
 
 
 def literal_closure(X: ControlledComplex, max_len: int) -> frozenset:

@@ -303,3 +303,75 @@ class TestUsage:
         code, out = run_command(["pi1", str(path), "--bound", "2"])
         assert code == 2
         assert out.startswith("document error: ") and "nesting is too deep" in out
+
+
+class TestSideInputShapes:
+    """Malformed side inputs exit 2 with the field path, never a traceback."""
+
+    @pytest.mark.parametrize("route, want", [
+        ('{"start": "0", "edges": 5}', "--route.edges: expected a list"),
+        ('{"start": "0", "dwells": 5}', "--route.dwells: expected a list"),
+        ('{"start": "0", "edges": ["e0"], "dwells": [[1]]}',
+         "--route.dwells[0]: expected an integer position"),
+        ('{"start": 5}', "--route.start: expected a string id or an array of ids"),
+    ])
+    def test_cover_lift_route(self, route, want):
+        code, text = run_command([
+            "cover-lift", "--exponential", "3", "--window", "6",
+            "--route", route, "--from", "0",
+        ])
+        assert (code, text) == (2, "document error: " + want)
+
+    @pytest.mark.parametrize("spec, want", [
+        ('{"blocks": 5}', "--spec.blocks: expected a list"),
+        ('{"blocks": [5]}', "--spec.blocks[0]: expected a list"),
+        ('{"blocks": [["1", 2]]}',
+         "--spec.blocks[0][1]: expected a string id or an array of ids"),
+        ('{"collapse": 5}', "--spec.collapse: expected a list"),
+        ('{"collapse": "e1"}', "--spec.collapse: expected a list"),
+    ])
+    def test_quotient_spec(self, tmp_path, spec, want):
+        path = str(tmp_path / "rigid.ctop")
+        run_command(["new", "rigid-line", "--length", "2", "-o", path])
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec)
+        code, text = run_command(["quotient", path, "--spec", str(spec_file)])
+        assert (code, text) == (2, "document error: " + want)
+
+    @pytest.mark.parametrize("vmap, want", [
+        ("[5]", "--vmap[0]: expected a pair of ids"),
+        ("[[1]]", "--vmap[0]: expected a pair of ids"),
+        ('[["0", 1]]', "--vmap[0][1]: expected a string id or an array of ids"),
+        ('{"0": {}}', "--vmap.0: expected a string id or an array of ids"),
+    ])
+    def test_cover_map_files(self, tmp_path, circle_file, vmap, want):
+        total = str(tmp_path / "line.ctop")
+        run_command(["new", "line-c", "--window", "2", "-o", total])
+        vmap_file = tmp_path / "vmap.json"
+        vmap_file.write_text(vmap)
+        emap_file = tmp_path / "emap.json"
+        emap_file.write_text(json.dumps({f"e{k}": "e0" for k in range(-2, 2)}))
+        code, text = run_command([
+            "cover-validate", total, circle_file, "--vmap", str(vmap_file),
+            "--emap", str(emap_file), "--bound", "2",
+        ])
+        assert (code, text) == (2, "document error: " + want)
+
+    def test_json_ids_on_the_command_line(self, ci_file):
+        code, text = run_command(["restrict", ci_file, "--keep", "[{}]"])
+        assert (code, text) == (
+            2, "document error: --keep[0]: expected a string id or an array of ids")
+        code, text = run_command(["hom", ci_file, "[5]", "0", "--bound", "2"])
+        assert (code, text) == (
+            2, "document error: source[0]: expected a string id or an array of ids")
+
+    def test_deeply_nested_side_inputs(self, tmp_path, ci_file):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 100000 + "]" * 100000)
+        code, text = run_command(["quotient", ci_file, "--spec", str(spec)])
+        assert (code, text) == (2, f"document error: {spec}: not valid JSON: nesting is too deep")
+        code, text = run_command([
+            "cover-lift", "--exponential", "3", "--window", "6",
+            "--route", "[" * 100000 + "]" * 100000, "--from", "0",
+        ])
+        assert (code, text) == (2, "usage error: bad --route JSON: nesting is too deep")

@@ -184,7 +184,8 @@ class TestFlexibility:
             one = full_substructure(X, [min(X.flexible, key=idkey)])
             for Y in (X, kept, one, reflect_fl(X), reflect_pf(X),
                       product(kept, interval_c()), sum_complex(interval_c(), kept)):
-                assert isinstance(Y.structural_flexibility(), bool)
+                witness = Y.flexibility_witness()
+                assert (witness is None) == is_flexible_space(Y), witness
                 assert is_flexible_space(Y) == by_routes(Y, 3), (name, Y.describe())
 
 
@@ -315,3 +316,19 @@ class TestOracleComparison:
 
         with pytest.raises(StructureError):
             reflect_dhat(product(ci, cj))
+
+
+class TestPublicSurface:
+    def test_every_package_export_is_exported_by_its_home_module(self):
+        import importlib
+
+        import cspace
+
+        modules = [importlib.import_module(f"cspace.{m}")
+                   for m in ("core", "spaces", "pi1", "covering", "documents")]
+        for name in cspace.__all__:
+            obj = getattr(cspace, name)
+            home = getattr(obj, "__module__", None)
+            if home is None:  # plain data: the one module that holds it
+                (home,) = [m.__name__ for m in modules if vars(m).get(name) is obj]
+            assert name in importlib.import_module(home).__all__, (name, home)

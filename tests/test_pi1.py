@@ -135,6 +135,19 @@ class TestComposition:
         with pytest.raises(CompositionError):
             cat.compose(walk, walk)
 
+    def test_errors_render_vertex_ids_like_every_other_vertex_error(self):
+        from cspace import CompositionError, interval_middle_delay
+
+        with pytest.raises(StructureError) as err:
+            pi1(interval_middle_delay(), 3).identity("m")
+        assert str(err.value) == "no identity at m: vertex is not an object"
+        cat = pi1(product(interval_c(), interval_c()), 3)
+        step = cat.class_of(Route(("0", "0"), ("1", "0"), (("L", "e", "0"),)))
+        with pytest.raises(CompositionError) as err:
+            cat.compose(step, step)
+        assert str(err.value) == (
+            "cannot compose: first arrow ends at (1,0), second starts at (0,0)")
+
 
 class TestRealizability:
     def test_words_realize_when_their_fullest_decoration_is_controlled(

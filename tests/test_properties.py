@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 
 from conftest import build_corpus
-from oracles import brute_pi1_components, brute_route_table
+from oracles import brute_membership, brute_pi1_components, brute_route_table
 from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
     ArrowClass,
@@ -26,6 +26,7 @@ from cspace import (
     full_substructure,
     idkey,
     is_flexible_route,
+    is_realizable,
     line_c,
     max_decoration,
     minimal_dwell_sets,
@@ -297,7 +298,7 @@ class TestProductLaws:
         for left, right in ((interval_c(), interval_c()), (interval_c(), interval_j())):
             P = product(left, right)
             dh_left, dh_right = reflect_dhat(left), reflect_dhat(right)
-            for r in enumerate_routes(P.graph, 4, all_dwell_sets=False):
+            for r in (Route(x, y, w) for x, w, y in enumerate_words(P.graph, 4)):
                 want = dh_left.is_controlled(
                     P.project_left(r).strip_dwells()
                 ) and dh_right.is_controlled(P.project_right(r).strip_dwells())
@@ -386,6 +387,54 @@ class TestMinimalDwellSets:
         assert minimal_dwell_sets(g, "m", ()) == frozenset()
 
 
+def _wrapping_kinds(X):
+    """``_every_kind`` plus sums and full substructures wrapping the
+    flexible part and a product, and the flexible part of a product."""
+    kinds = _every_kind(X)
+    fl, prod = kinds["fl"], kinds["product"]
+    kinds["sum-fl-product"] = sum_complex(fl, prod)
+    kinds["restrict-fl"] = full_substructure(fl, sorted(fl.flexible, key=idkey)[:1])
+    kinds["restrict-product"] = full_substructure(prod, sorted(prod.flexible, key=idkey)[:2])
+    kinds["fl-product"] = reflect_fl(product(X, interval_delayed_minus()))
+    return kinds
+
+
+def _assert_literal_membership(X, bound, where):
+    """``is_controlled`` on every decoration up to the bound, and
+    ``is_realizable`` and ``minimal_dwell_sets`` on every word, against
+    ``oracles.brute_membership``."""
+    member = brute_membership(X, bound)
+    by_word = {}
+    for r in enumerate_routes(X.graph, bound):
+        by_word.setdefault((r.start, r.edges, r.end), []).append(r)
+    for (start, word, end), routes in by_word.items():
+        accepted = set()
+        for r in routes:
+            want = member(r)
+            assert X.is_controlled(r) == want, (where, r)
+            if want:
+                accepted.add(r.dwells)
+        full = max_decoration(start, end, word).dwells
+        assert is_realizable(X, start, word) == (full in accepted), (where, word)
+        minimal = {a for a in accepted if not any(b < a for b in accepted)}
+        assert minimal_dwell_sets(X, start, word) == minimal, (where, word)
+
+
+class TestLiteralMembership:
+    """The package's one membership method against the literal
+    definitions of each construction, on every decoration."""
+
+    def test_every_kind_on_the_corpus_matches_its_literal_definition(self):
+        for name, C in build_corpus().items():
+            for kind, X in _wrapping_kinds(C).items():
+                _assert_literal_membership(X, 3, (name, kind))
+
+    @given(presented_complexes())
+    def test_every_kind_matches_its_literal_definition(self, C):
+        for kind, X in _wrapping_kinds(C).items():
+            _assert_literal_membership(X, 2, kind)
+
+
 def _scan_pi1(X, bound):
     """pi1 by walking words and asking ``is_controlled`` of each maximal
     decoration, scanning every cell side at every position of every
@@ -468,8 +517,10 @@ class TestFundamentalCategoryAgainstTheScan:
             F = reflect_fl(C)
             memo = {}
             for start, word, end in enumerate_words(F.graph, 5):
-                want = is_flexible_route(C, max_decoration(start, end, word))
-                assert F._realizable(start, word, end, memo) == want, (name, word)
+                full = max_decoration(start, end, word)
+                want = is_flexible_route(C, full)
+                got = F._accepts(start, word, end, sum(1 << d for d in full.dwells), memo)
+                assert got == want, (name, word)
 
     @pytest.mark.large
     @given(presented_complexes(max_vertices=4, max_edges=6, max_cells=3, max_cell_side=3))

@@ -47,8 +47,9 @@ class _Reversed(ControlledComplex):
         super().__init__(Graph(g.vertices, edges), (), X.flexible)
         self.X = X
 
-    def _decide(self, r: Route) -> bool:
-        return self.X.is_controlled(_reverse(r))
+    def _accepts(self, start, word, end, dwells, memo) -> bool:
+        positions = frozenset(d for d in range(len(word) + 1) if dwells >> d & 1)
+        return self.X.is_controlled(_reverse(Route(start, end, word, positions)))
 
 
 class TestStandardSpaces:
