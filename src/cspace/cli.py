@@ -39,6 +39,7 @@ from .covering import (
 from .documents import (
     DocumentError,
     canonical_json,
+    decode_id,
     encode_id,
     load_complex,
     save_complex,
@@ -82,15 +83,6 @@ def _ids(items) -> str:
 # at the argument.
 
 
-def _json_id(value, path: str):
-    """A string id, or an array of ids for a tuple id."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return tuple(_json_id(v, f"{path}[{i}]") for i, v in enumerate(value))
-    raise DocumentError(path, "expected a string id or an array of ids")
-
-
 def _json_list(value, path: str, read) -> list:
     """A list, each item read by ``read(item, item_path)``."""
     if not isinstance(value, list):
@@ -99,13 +91,13 @@ def _json_list(value, path: str, read) -> list:
 
 
 def _json_ids(value, path: str) -> list:
-    return _json_list(value, path, _json_id)
+    return _json_list(value, path, decode_id)
 
 
 def _json_pair(value, path: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise DocumentError(path, "expected a pair of ids")
-    return _json_id(value[0], f"{path}[0]"), _json_id(value[1], f"{path}[1]")
+    return decode_id(value[0], f"{path}[0]"), decode_id(value[1], f"{path}[1]")
 
 
 def _json_position(value, path: str) -> int:
@@ -137,7 +129,7 @@ def _load_json(path: str):
 
 def _parse_id(text: str, where: str):
     if text.startswith("["):
-        return _json_id(_parse_json(text, f"id {text!r}"), where)
+        return decode_id(_parse_json(text, f"id {text!r}"), where)
     return text
 
 
@@ -157,7 +149,7 @@ def _emit(X: ControlledComplex, out: str | None) -> str:
 def _load_map(path: str, option: str) -> dict:
     doc = _load_json(path)
     if isinstance(doc, dict):
-        return {k: _json_id(v, f"{option}.{k}") for k, v in doc.items()}
+        return {k: decode_id(v, f"{option}.{k}") for k, v in doc.items()}
     if isinstance(doc, list):
         return dict(_json_list(doc, option, _json_pair))
     raise DocumentError(path, "expected an object or a list of pairs")
@@ -393,7 +385,7 @@ def _cmd_cover_lift(args) -> tuple[int, str]:
     if not isinstance(doc, dict) or "start" not in doc:
         raise _UsageError("--route needs an object with start, edges, dwells")
     b = p.base.graph.route(
-        _json_id(doc["start"], "--route.start"),
+        decode_id(doc["start"], "--route.start"),
         _json_ids(doc.get("edges", []), "--route.edges"),
         _json_list(doc.get("dwells", []), "--route.dwells", _json_position),
     )

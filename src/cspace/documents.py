@@ -58,10 +58,26 @@ def encode_id(x) -> object:
     return x
 
 
-def decode_id(j) -> object:
+# Ids nest one level per product or sum.  An id nested deeper than this is
+# an input error, well before rendering or ordering it would exhaust the
+# interpreter's recursion limit.
+_MAX_ID_DEPTH = 100
+
+
+def decode_id(j, path: str = "id") -> object:
+    """A string id, or an array of ids for a tuple id; an error names the
+    field path."""
+    return _decode_id(j, path, path, 0)
+
+
+def _decode_id(j, path: str, root: str, depth: int) -> object:
+    if isinstance(j, str):
+        return j
     if isinstance(j, list):
-        return tuple(decode_id(i) for i in j)
-    return j
+        if depth == _MAX_ID_DEPTH:
+            raise DocumentError(root, f"nesting is deeper than {_MAX_ID_DEPTH}")
+        return tuple(_decode_id(v, f"{path}[{i}]", root, depth + 1) for i, v in enumerate(j))
+    raise DocumentError(path, "expected a string id or an array of ids")
 
 
 def _need(doc: Mapping, key: str, path: str, kind: type, kindname: str):
@@ -192,7 +208,7 @@ def _parse_recipe(recipe, path: str) -> ControlledComplex:
         return build(base)
     keep = _need(recipe, "keep", path, list, "a list of vertex ids")
     try:
-        return build(base, {decode_id(v) for v in keep})
+        return build(base, {decode_id(v, f"{path}.keep[{i}]") for i, v in enumerate(keep)})
     except StructureError as err:
         raise DocumentError(f"{path}.keep", str(err)) from None
 

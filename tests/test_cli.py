@@ -365,6 +365,33 @@ class TestSideInputShapes:
         assert (code, text) == (
             2, "document error: source[0]: expected a string id or an array of ids")
 
+    def test_deeply_nested_ids(self, tmp_path, ci_file, circle_file):
+        deep = json.loads("[" * 600 + '"0"' + "]" * 600)
+        code, text = run_command(["hom", ci_file, json.dumps(deep), "0", "--bound", "2"])
+        assert (code, text) == (2, "document error: source: nesting is deeper than 100")
+        code, text = run_command([
+            "cover-lift", "--exponential", "3", "--window", "6",
+            "--route", '{"start": "0"}', "--from", json.dumps(deep),
+        ])
+        assert (code, text) == (2, "document error: --from: nesting is deeper than 100")
+        vmap_file = tmp_path / "vmap.json"
+        vmap_file.write_text(json.dumps({"0": deep}))
+        code, text = run_command([
+            "cover-validate", ci_file, circle_file, "--vmap", str(vmap_file),
+            "--emap", str(vmap_file), "--bound", "2",
+        ])
+        assert (code, text) == (2, "document error: --vmap.0: nesting is deeper than 100")
+
+    def test_recipe_keep_ids(self, tmp_path, ci_file):
+        with open(ci_file, encoding="utf-8") as fh:
+            base = json.load(fh)
+        doc = tmp_path / "restricted.ctop"
+        doc.write_text(json.dumps(
+            {"schema": 1, "recipe": {"op": "restrict", "base": base, "keep": [{}]}}))
+        code, text = run_command(["pi1", str(doc), "--bound", "2"])
+        assert (code, text) == (
+            2, "document error: recipe.keep[0]: expected a string id or an array of ids")
+
     def test_deeply_nested_side_inputs(self, tmp_path, ci_file):
         spec = tmp_path / "spec.json"
         spec.write_text("[" * 100000 + "]" * 100000)

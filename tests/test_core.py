@@ -171,7 +171,9 @@ class TestFlexibility:
         assert not is_flexible_space(middle_delay)
 
     def test_flexible_space_verdicts_are_exact_for_every_kind(self, corpus):
-        from cspace import enumerate_routes, full_substructure, product, sum_complex
+        from cspace import (
+            enumerate_routes, full_substructure, product, render_id, sum_complex,
+        )
 
         def by_routes(Y, bound):
             return Y.graph.vertices == Y.flexible and all(
@@ -179,14 +181,31 @@ class TestFlexibility:
                 for r in enumerate_routes(Y.graph, bound) if Y.is_controlled(r)
             )
 
+        def named_part(Y, witness):
+            """The part a witness names, and what it says fails there."""
+            *names, claim = witness.split(": ")
+            for name in names:
+                Y = getattr(Y, name.split()[0])  # left, right or base
+            return Y, claim
+
+        claims = set()
         for name, X in corpus.items():
             kept = full_substructure(X, X.flexible)
             one = full_substructure(X, [min(X.flexible, key=idkey)])
             for Y in (X, kept, one, reflect_fl(X), reflect_pf(X),
                       product(kept, interval_c()), sum_complex(interval_c(), kept)):
                 witness = Y.flexibility_witness()
-                assert (witness is None) == is_flexible_space(Y), witness
+                if witness is not None:
+                    part, claim = named_part(Y, witness)
+                    stiff = {f"vertex {render_id(v)} is not flexible"
+                             for v in part.graph.vertices - part.flexible}
+                    failing = {f"generator {g} has an uncontrolled restriction"
+                               for g in part.generators or ()
+                               if not is_flexible_route(part, g)}
+                    assert claim in stiff | failing, (name, witness)
+                    claims.add(claim.split()[0])
                 assert is_flexible_space(Y) == by_routes(Y, 3), (name, Y.describe())
+        assert claims == {"vertex", "generator"}
 
 
 class TestReflectors:
