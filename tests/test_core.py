@@ -193,7 +193,8 @@ class TestFlexibility:
             kept = full_substructure(X, X.flexible)
             one = full_substructure(X, [min(X.flexible, key=idkey)])
             for Y in (X, kept, one, reflect_fl(X), reflect_pf(X),
-                      product(kept, interval_c()), sum_complex(interval_c(), kept)):
+                      product(kept, interval_c()), sum_complex(interval_c(), kept),
+                      sum_complex(interval_c(), X)):
                 witness = Y.flexibility_witness()
                 if witness is not None:
                     part, claim = named_part(Y, witness)
