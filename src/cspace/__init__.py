@@ -8,190 +8,17 @@ preflexible, and border-flexible subcategories, builds truncated
 fundamental categories by cell-move rewriting, and lifts routes along
 coverings with an exact hom-set bijection audit.
 """
-from .core import (
-    CompositionError,
-    ControlledComplex,
-    CspaceError,
-    FlexiblePart,
-    Graph,
-    InvalidRouteError,
-    MiddleRestrictionReport,
-    PreflexibleHull,
-    PresentedComplex,
-    Route,
-    SquareCell,
-    StructureError,
-    border_flexibility,
-    check_middle_restriction,
-    enumerate_routes,
-    enumerate_words,
-    has_total_path_support,
-    idkey,
-    is_border_flexible,
-    is_flexible_route,
-    is_flexible_space,
-    is_preflexible,
-    max_decoration,
-    minimal_dwell_sets,
-    oracle_equivalent,
-    path_support,
-    preflexibility,
-    reflect_bf,
-    reflect_dhat,
-    reflect_fl,
-    reflect_pf,
-    render_id,
-    route_concat,
-    route_insert_dwell,
-)
-from .covering import (
-    CoveringMap,
-    CoveringReport,
-    LiftingBijectionReport,
-    check_lifting_bijection,
-    exponential_cover,
-    identity_cover,
-    lift_route,
-    validate_covering,
-)
-from .documents import (
-    DocumentError,
-    canonical_json,
-    load_complex,
-    parse_complex,
-    save_complex,
-    serialize_complex,
-)
-from .pi1 import (
-    ArrowClass,
-    FundamentalCategory,
-    MonoidTable,
-    check_fullness,
-    check_product_preservation,
-    check_sum_preservation,
-    fundamental_monoid,
-    hom_classes,
-    induced_comparisons,
-    is_one_simple,
-    is_realizable,
-    pi1,
-)
-from .spaces import (
-    STANDARD_KINDS,
-    ProductComplex,
-    QuotientSpec,
-    RestrictedComplex,
-    SumComplex,
-    circle_n_stop,
-    diagonal_square,
-    discrete,
-    full_substructure,
-    interval_c,
-    interval_delayed_minus,
-    interval_delayed_plus,
-    interval_j,
-    interval_middle_delay,
-    interval_reversible,
-    line_c,
-    opposite,
-    product,
-    quotient,
-    reversible_cancellation,
-    rigid_line,
-    std_space,
-    sum_complex,
-    symmetrize,
-    tag_left,
-    tag_right,
-)
+from .core import *
+from .core import __all__ as _core
+from .covering import *
+from .covering import __all__ as _covering
+from .documents import *
+from .documents import __all__ as _documents
+from .pi1 import *
+from .pi1 import __all__ as _pi1
+from .spaces import *
+from .spaces import __all__ as _spaces
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrowClass",
-    "CompositionError",
-    "ControlledComplex",
-    "CoveringMap",
-    "CoveringReport",
-    "CspaceError",
-    "DocumentError",
-    "FlexiblePart",
-    "FundamentalCategory",
-    "Graph",
-    "InvalidRouteError",
-    "LiftingBijectionReport",
-    "MiddleRestrictionReport",
-    "MonoidTable",
-    "PreflexibleHull",
-    "PresentedComplex",
-    "ProductComplex",
-    "QuotientSpec",
-    "RestrictedComplex",
-    "Route",
-    "STANDARD_KINDS",
-    "SquareCell",
-    "StructureError",
-    "SumComplex",
-    "border_flexibility",
-    "canonical_json",
-    "check_fullness",
-    "check_lifting_bijection",
-    "check_middle_restriction",
-    "check_product_preservation",
-    "check_sum_preservation",
-    "circle_n_stop",
-    "diagonal_square",
-    "discrete",
-    "enumerate_routes",
-    "enumerate_words",
-    "exponential_cover",
-    "full_substructure",
-    "fundamental_monoid",
-    "has_total_path_support",
-    "hom_classes",
-    "idkey",
-    "identity_cover",
-    "induced_comparisons",
-    "interval_c",
-    "interval_delayed_minus",
-    "interval_delayed_plus",
-    "interval_j",
-    "interval_middle_delay",
-    "interval_reversible",
-    "is_border_flexible",
-    "is_flexible_route",
-    "is_flexible_space",
-    "is_one_simple",
-    "is_preflexible",
-    "is_realizable",
-    "lift_route",
-    "line_c",
-    "load_complex",
-    "max_decoration",
-    "minimal_dwell_sets",
-    "opposite",
-    "oracle_equivalent",
-    "parse_complex",
-    "path_support",
-    "pi1",
-    "preflexibility",
-    "product",
-    "quotient",
-    "reflect_bf",
-    "reflect_dhat",
-    "reflect_fl",
-    "reflect_pf",
-    "render_id",
-    "reversible_cancellation",
-    "rigid_line",
-    "route_concat",
-    "route_insert_dwell",
-    "save_complex",
-    "serialize_complex",
-    "std_space",
-    "sum_complex",
-    "symmetrize",
-    "tag_left",
-    "tag_right",
-    "validate_covering",
-]
+__all__ = [*_core, *_covering, *_documents, *_pi1, *_spaces]

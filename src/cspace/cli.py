@@ -18,7 +18,6 @@ from .core import (
     StructureError,
     border_flexibility,
     check_bound,
-    has_total_path_support,
     idkey,
     is_flexible_space,
     path_support,
@@ -38,10 +37,12 @@ from .covering import (
 )
 from .documents import (
     DocumentError,
+    _position,
     canonical_json,
     decode_id,
     encode_id,
     load_complex,
+    read_json,
     save_complex,
     serialize_complex,
 )
@@ -100,12 +101,6 @@ def _json_pair(value, path: str) -> tuple:
     return decode_id(value[0], f"{path}[0]"), decode_id(value[1], f"{path}[1]")
 
 
-def _json_position(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(path, "expected an integer position")
-    return value
-
-
 def _parse_json(text: str, what: str):
     """JSON given on the command line."""
     try:
@@ -114,17 +109,6 @@ def _parse_json(text: str, what: str):
         raise _UsageError(f"bad {what}: {err}") from None
     except RecursionError:
         raise _UsageError(f"bad {what}: nesting is too deep") from None
-
-
-def _load_json(path: str):
-    """A JSON side-input file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DocumentError(path, f"not valid JSON: {err}") from None
-        except RecursionError:
-            raise DocumentError(path, "not valid JSON: nesting is too deep") from None
 
 
 def _parse_id(text: str, where: str):
@@ -147,7 +131,7 @@ def _emit(X: ControlledComplex, out: str | None) -> str:
 
 
 def _load_map(path: str, option: str) -> dict:
-    doc = _load_json(path)
+    doc = read_json(path)
     if isinstance(doc, dict):
         return {k: decode_id(v, f"{option}.{k}") for k, v in doc.items()}
     if isinstance(doc, list):
@@ -182,13 +166,15 @@ def _add_cover_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--window", type=int, help="line window for --exponential")
 
 
-def _pi1_table(cat) -> str:
+def _pi1_header(cat) -> str:
     flag = "yes" if cat.possibly_incomplete else "no"
     pre = "yes" if cat.is_preorder() else "no"
-    lines = [
-        f"objects: {_ids(cat.objects)}; arrows: {cat.arrow_count}; "
-        f"preorder: {pre}; truncated: {flag}"
-    ]
+    return (f"objects: {_ids(cat.objects)}; arrows: {cat.arrow_count}; "
+            f"preorder: {pre}; truncated: {flag}")
+
+
+def _pi1_table(cat) -> str:
+    lines = [_pi1_header(cat)]
     for x in cat.objects:
         for y in cat.objects:
             hom = cat.hom(x, y)
@@ -273,63 +259,74 @@ def _cmd_reflect(args) -> tuple[int, str]:
     return 0, _emit(reflector(X), args.output)
 
 
-def _check_flexible(X) -> tuple[int, str]:
+def _check_flexible(X, bound) -> tuple[int, str]:
     witness = X.flexibility_witness()
     if witness is None:
         return 0, "flexible: yes"
     return 1, f"flexible: no\nwitness: {witness}"
 
 
+def _check_preflexible(X, bound) -> tuple[int, str]:
+    if bound is None:
+        raise _UsageError("check preflexible needs --bound")
+    rep = preflexibility(X, bound)
+    if rep.holds:
+        return 0, f"preflexible: yes (bound {rep.bound})"
+    return 1, f"preflexible: no\nwitness: {rep.witness}"
+
+
+def _check_border_flexible(X, bound) -> tuple[int, str]:
+    rep = border_flexibility(X)
+    if rep.holds:
+        return 0, "border-flexible: yes"
+    lines = ["border-flexible: no"]
+    lines += [f"witness: {w} is not controlled" for w in rep.witnesses]
+    return 1, "\n".join(lines)
+
+
+def _check_one_simple(X, bound) -> tuple[int, str]:
+    if bound is None:
+        raise _UsageError("check one-simple needs --bound")
+    cat = pi1(X, bound)
+    flag = "yes" if cat.possibly_incomplete else "no"
+    if cat.is_preorder():
+        return 0, f"one-simple: yes (bound {bound}; truncated: {flag})"
+    x, y = next((x, y) for x in cat.objects for y in cat.objects if len(cat.hom(x, y)) > 1)
+    return 1, (
+        f"one-simple: no (bound {bound}; truncated: {flag})\n"
+        f"witness: hom({render_id(x)},{render_id(y)}) has {len(cat.hom(x, y))} classes"
+    )
+
+
+def _check_total_support(X, bound) -> tuple[int, str]:
+    verts, edges = path_support(X)
+    missing_v = X.graph.vertices - verts
+    missing_e = X.graph.edge_ids - edges
+    if not missing_v and not missing_e:
+        return 0, "total-support: yes"
+    lines = ["total-support: no"]
+    if missing_v:
+        lines.append(f"witness: unsupported vertices: {_ids(missing_v)}")
+    if missing_e:
+        lines.append(f"witness: unsupported edges: {_ids(missing_e)}")
+    return 1, "\n".join(lines)
+
+
+# property -> check(X, bound); the argument choices come from here
+_CHECKS = {
+    "flexible": _check_flexible,
+    "preflexible": _check_preflexible,
+    "border-flexible": _check_border_flexible,
+    "one-simple": _check_one_simple,
+    "total-support": _check_total_support,
+}
+
+
 def _cmd_check(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    prop = args.property
     if args.bound is not None:
         check_bound(args.bound)
-    if prop == "flexible":
-        return _check_flexible(X)
-    if prop == "preflexible":
-        if args.bound is None:
-            raise _UsageError("check preflexible needs --bound")
-        rep = preflexibility(X, args.bound)
-        if rep.holds:
-            return 0, f"preflexible: yes (bound {rep.bound})"
-        return 1, f"preflexible: no\nwitness: {rep.witness}"
-    if prop == "border-flexible":
-        rep = border_flexibility(X)
-        if rep.holds:
-            return 0, "border-flexible: yes"
-        lines = ["border-flexible: no"]
-        lines += [f"witness: {w} is not controlled" for w in rep.witnesses]
-        return 1, "\n".join(lines)
-    if prop == "one-simple":
-        if args.bound is None:
-            raise _UsageError("check one-simple needs --bound")
-        cat = pi1(X, args.bound)
-        flag = "yes" if cat.possibly_incomplete else "no"
-        if cat.is_preorder():
-            return 0, f"one-simple: yes (bound {args.bound}; truncated: {flag})"
-        for x in cat.objects:
-            for y in cat.objects:
-                hom = cat.hom(x, y)
-                if len(hom) > 1:
-                    return 1, (
-                        f"one-simple: no (bound {args.bound}; truncated: {flag})\n"
-                        f"witness: hom({render_id(x)},{render_id(y)}) "
-                        f"has {len(hom)} classes"
-                    )
-    if prop == "total-support":
-        if has_total_path_support(X):
-            return 0, "total-support: yes"
-        verts, edges = path_support(X)
-        lines = ["total-support: no"]
-        missing_v = X.graph.vertices - verts
-        missing_e = X.graph.edge_ids - edges
-        if missing_v:
-            lines.append(f"witness: unsupported vertices: {_ids(missing_v)}")
-        if missing_e:
-            lines.append(f"witness: unsupported edges: {_ids(missing_e)}")
-        return 1, "\n".join(lines)
-    raise _UsageError(f"unknown property {prop!r}")
+    return _CHECKS[args.property](X, args.bound)
 
 
 def _cmd_product(args) -> tuple[int, str]:
@@ -356,7 +353,7 @@ def _cmd_restrict(args) -> tuple[int, str]:
 
 def _cmd_quotient(args) -> tuple[int, str]:
     X = load_complex(args.file)
-    doc = _load_json(args.spec)
+    doc = read_json(args.spec)
     if not isinstance(doc, dict):
         raise DocumentError(args.spec, "expected an object")
     blocks = _json_list(doc.get("blocks", []), "--spec.blocks", _json_ids)
@@ -387,7 +384,7 @@ def _cmd_cover_lift(args) -> tuple[int, str]:
     b = p.base.graph.route(
         decode_id(doc["start"], "--route.start"),
         _json_ids(doc.get("edges", []), "--route.edges"),
-        _json_list(doc.get("dwells", []), "--route.dwells", _json_position),
+        _json_list(doc.get("dwells", []), "--route.dwells", _position),
     )
     lift = lift_route(p, b, _parse_id(args.start, "--from"))
     return 0, f"lift: {lift}"
@@ -435,7 +432,7 @@ def _cmd_report(args) -> tuple[int, str]:
         lines.append(f"preflexible (bound {bound}): not available (needs a generator presentation)")
     cat = pi1(X, bound)
     lines.append(f"one-simple (bound {bound}): {'yes' if cat.is_preorder() else 'no'}")
-    lines.append(f"pi1 (bound {bound}): {_pi1_table(cat).splitlines()[0]}")
+    lines.append(f"pi1 (bound {bound}): {_pi1_header(cat)}")
     return 0, "\n".join(lines)
 
 
@@ -479,9 +476,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="decide a classification property")
     p.add_argument("file")
-    p.add_argument("property", choices=[
-        "flexible", "preflexible", "border-flexible", "one-simple", "total-support",
-    ])
+    p.add_argument("property", choices=list(_CHECKS))
     p.add_argument("--bound", type=int)
     p.set_defaults(func=_cmd_check)
 
@@ -553,7 +548,7 @@ def run_command(argv: list[str] | None = None) -> tuple[int, str]:
         return 2, f"usage error: {err}"
     except DocumentError as err:
         return 2, f"document error: {err}"
-    except FileNotFoundError as err:
+    except OSError as err:
         return 2, f"file error: {err}"
     except CspaceError as err:
         return 2, f"error: {err}"

@@ -383,8 +383,8 @@ def check_bound(bound: int) -> None:
         raise StructureError("bound must be >= 0")
 
 
-# the vertices and edges that controlled routes may use
-Support = tuple[frozenset[VertexId], frozenset[EdgeId]]
+# (vertices, edges, exact): what controlled routes may use; exact when they use all of it
+Support = tuple[frozenset[VertexId], frozenset[EdgeId], bool]
 
 # (op, parts, keep): keep is the kept vertex set of "restrict", else None
 Recipe = tuple[str, tuple["ControlledComplex", ...], "frozenset[VertexId] | None"]
@@ -523,13 +523,10 @@ class ControlledComplex:
                 found.append(mask)
         return frozenset(found)
 
-    def path_support(self) -> Support:
-        """Vertices and edges appearing in controlled routes."""
-        raise StructureError("path support needs a generator presentation")
-
-    def support_upper(self) -> Support:
-        """Superset of the path support; used for truncation flags."""
-        return self._graph.vertices, self._graph.edge_ids
+    def support(self) -> Support:
+        """The vertices and edges controlled routes may use, and whether
+        exactly those appear in them; by default the graph, inexact."""
+        return self._graph.vertices, self._graph.edge_ids, False
 
     def flexibility_witness(self) -> str | None:
         """Why this complex is not a flexible space, or None when it is.
@@ -666,16 +663,14 @@ class PresentedComplex(ControlledComplex):
     def flexibility_witness(self) -> str | None:
         return super().flexibility_witness() or _generator_witness(self)
 
-    def path_support(self) -> Support:
-        """The union over generators."""
+    def support(self) -> Support:
+        """The union over generators, exact."""
         verts: set[VertexId] = set()
         edges: set[EdgeId] = set()
         for g in self._generators:
             verts.update(self._graph.visited(g))
             edges.update(g.edges)
-        return frozenset(verts), frozenset(edges)
-
-    support_upper = path_support
+        return frozenset(verts), frozenset(edges), True
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +694,13 @@ def is_flexible_space(X: ControlledComplex) -> bool:
     return X.flexibility_witness() is None
 
 
-def path_support(X: ControlledComplex) -> Support:
-    """Vertices and edges appearing in controlled routes; kinds without a
-    rule (no generators, not a product or sum) raise ``StructureError``."""
-    return X.path_support()
+def path_support(X: ControlledComplex) -> tuple[frozenset[VertexId], frozenset[EdgeId]]:
+    """Vertices and edges appearing in controlled routes; a complex whose
+    ``support()`` is not exact raises ``StructureError``."""
+    verts, edges, exact = X.support()
+    if not exact:
+        raise StructureError("path support needs a generator presentation")
+    return verts, edges
 
 
 def has_total_path_support(X: ControlledComplex) -> bool:
@@ -899,8 +897,8 @@ class PreflexibleHull(ControlledComplex):
         """Dwells play no part: every decoration or none."""
         return frozenset({0}) if self._accepts(start, word, end, 0, {}) else frozenset()
 
-    def support_upper(self) -> Support:
-        return self._dhat.vertices, self._dhat.edge_ids
+    def support(self) -> Support:
+        return self._dhat.vertices, self._dhat.edge_ids, False
 
     def recipe(self) -> Recipe:
         return ("pf", (self.base,), None)

@@ -22,18 +22,15 @@ from .core import (
     SquareCell,
     StructureError,
     idkey,
-    reflect_bf,
-    reflect_dhat,
-    reflect_fl,
-    reflect_pf,
 )
-from .spaces import full_substructure, opposite, product, sum_complex, symmetrize
+from .spaces import _RECIPES, _rebuild
 
 __all__ = [
     "DocumentError",
     "parse_complex",
     "serialize_complex",
     "canonical_json",
+    "read_json",
     "load_complex",
     "save_complex",
     "encode_id",
@@ -80,6 +77,12 @@ def _decode_id(j, path: str, root: str, depth: int) -> object:
     raise DocumentError(path, "expected a string id or an array of ids")
 
 
+def _position(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(path, "expected an integer position")
+    return value
+
+
 def _need(doc: Mapping, key: str, path: str, kind: type, kindname: str):
     if key not in doc:
         raise DocumentError(path, f"missing field {key!r}")
@@ -102,8 +105,9 @@ def _route_from(doc: Mapping, graph: Graph, path: str, dwells_allowed: bool) -> 
         raise DocumentError(f"{path}.dwells", "cell sides must be dwell-free")
     if not isinstance(dwells, list):
         raise DocumentError(f"{path}.dwells", "expected a list of positions")
+    dwells = {_position(d, f"{path}.dwells[{i}]") for i, d in enumerate(dwells)}
     try:
-        return graph.route(start, tuple(edges), frozenset(dwells))
+        return graph.route(start, tuple(edges), dwells)
     except InvalidRouteError as err:
         raise DocumentError(path, str(err)) from None
 
@@ -156,8 +160,11 @@ def _parse(doc: Mapping) -> ControlledComplex:
     for i, entry in enumerate(_need(doc, "generators", "document", list, "a list")):
         generators.append(_route_from(entry, graph, f"generators[{i}]", True))
 
+    cell_docs = doc.get("cells", [])
+    if not isinstance(cell_docs, list):
+        raise DocumentError("cells", "expected a list")
     cells = []
-    for i, entry in enumerate(doc.get("cells", [])):
+    for i, entry in enumerate(cell_docs):
         path = f"cells[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError(path, "expected an object")
@@ -175,40 +182,25 @@ def _parse(doc: Mapping) -> ControlledComplex:
     return PresentedComplex(graph, generators, cells)
 
 
-# op -> (parts, constructor).  One part is read from "base", two from
-# "args"; "restrict" also takes the kept vertices.  Constructors are looked
-# up when called, so a replaced module attribute is seen.
-_OPS = {
-    "product": (2, lambda left, right: product(left, right)),
-    "sum": (2, lambda left, right: sum_complex(left, right)),
-    "op": (1, lambda base: opposite(base)),
-    "symmetrize": (1, lambda base: symmetrize(base)),
-    "fl": (1, lambda base: reflect_fl(base)),
-    "pf": (1, lambda base: reflect_pf(base)),
-    "dhat": (1, lambda base: reflect_dhat(base)),
-    "bf": (1, lambda base: reflect_bf(base)),
-    "restrict": (1, lambda base, keep: full_substructure(base, keep)),
-}
-
-
 def _parse_recipe(recipe, path: str) -> ControlledComplex:
+    """One part is read from "base", two from "args", the kept vertices from "keep"."""
     if not isinstance(recipe, dict):
         raise DocumentError(path, "expected an object")
     op = _need(recipe, "op", path, str, "an operation name")
-    if op not in _OPS:
+    if op not in _RECIPES:
         raise DocumentError(f"{path}.op", f"unknown operation {op!r}")
-    arity, build = _OPS[op]
-    if arity == 2:
+    if _RECIPES[op][0] == 2:
         args = _need(recipe, "args", path, list, "a list of two documents")
         if len(args) != 2:
             raise DocumentError(f"{path}.args", "expected exactly two documents")
-        return build(_parse(args[0]), _parse(args[1]))
+        return _rebuild(op, (_parse(args[0]), _parse(args[1])))
     base = _parse(_need(recipe, "base", path, dict, "a document"))
     if op != "restrict":
-        return build(base)
+        return _rebuild(op, (base,))
     keep = _need(recipe, "keep", path, list, "a list of vertex ids")
     try:
-        return build(base, {decode_id(v, f"{path}.keep[{i}]") for i, v in enumerate(keep)})
+        return _rebuild(op, (base,), {decode_id(v, f"{path}.keep[{i}]")
+                                      for i, v in enumerate(keep)})
     except StructureError as err:
         raise DocumentError(f"{path}.keep", str(err)) from None
 
@@ -260,15 +252,23 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def read_json(path: str):
+    """The JSON value in a file.  Text that is not UTF-8 JSON is a
+    ``DocumentError`` on the path; a file that cannot be read raises
+    ``OSError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as err:
+        raise DocumentError(path, f"not UTF-8: {err}") from None
+    except json.JSONDecodeError as err:
+        raise DocumentError(path, f"not valid JSON: {err}") from None
+    except RecursionError:
+        raise DocumentError(path, "not valid JSON: nesting is too deep") from None
+
+
 def load_complex(path: str) -> ControlledComplex:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DocumentError(path, f"not valid JSON: {err}") from None
-        except RecursionError:
-            raise DocumentError(path, "not valid JSON: nesting is too deep") from None
-    return parse_complex(doc)
+    return parse_complex(read_json(path))
 
 
 def save_complex(X: ControlledComplex, path: str) -> None:

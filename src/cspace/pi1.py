@@ -61,7 +61,6 @@ from .core import (
 from .spaces import full_substructure, product, sum_complex
 
 __all__ = [
-    "Label",
     "ArrowClass",
     "FundamentalCategory",
     "pi1",
@@ -189,7 +188,7 @@ class FundamentalCategory:
 def _support_longest(X: ControlledComplex) -> float:
     """Length of the longest path in the support graph, or infinity when
     the support graph has a directed cycle."""
-    verts, edges = X.support_upper()
+    verts, edges, _ = X.support()
     out: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
     indeg: dict[VertexId, int] = {v: 0 for v in verts}
     for e in edges:
@@ -210,13 +209,6 @@ def _support_longest(X: ControlledComplex) -> float:
     if seen < len(verts):
         return math.inf
     return max(dist.values(), default=0)
-
-
-def _support_truncated(X: ControlledComplex, bound: int) -> bool:
-    """True when controlled routes may outrun the bound: the support graph
-    has a directed cycle, or its longest path exceeds the bound.  Computed
-    afresh; ``pi1`` keeps ``_support_longest`` in the label store."""
-    return _support_longest(X) > bound
 
 
 class _LabelStore:

@@ -30,7 +30,8 @@ from .core import (
     _positions,
     idkey,
     is_flexible_route,
-    path_support,
+    reflect_bf,
+    reflect_dhat,
     reflect_fl,
     reflect_pf,
     render_id,
@@ -316,19 +317,13 @@ class ProductComplex(ControlledComplex):
             ("left factor", self.left), ("right factor", self.right)
         )
 
-    @staticmethod
-    def _pair_support(left: Support, right: Support) -> Support:
-        (lv, le), (rv, re) = left, right
+    def support(self) -> Support:
+        """Pairs of the factors' supports, exact when both are."""
+        (lv, le, lexact), (rv, re, rexact) = self.left.support(), self.right.support()
         verts = frozenset((x, y) for x in lv for y in rv)
         edges = {_h_edge(e, y) for e in le for y in rv}
         edges |= {_v_edge(x, f) for x in lv for f in re}
-        return verts, frozenset(edges)
-
-    def path_support(self) -> Support:
-        return self._pair_support(path_support(self.left), path_support(self.right))
-
-    def support_upper(self) -> Support:
-        return self._pair_support(self.left.support_upper(), self.right.support_upper())
+        return verts, frozenset(edges), lexact and rexact
 
     def recipe(self) -> Recipe:
         return ("product", (self.left, self.right), None)
@@ -416,18 +411,12 @@ class SumComplex(ControlledComplex):
             ("left summand", self.left), ("right summand", self.right)
         )
 
-    @staticmethod
-    def _tag_support(left: Support, right: Support) -> Support:
-        (lv, le), (rv, re) = left, right
+    def support(self) -> Support:
+        """The summands' supports, tagged, exact when both are."""
+        (lv, le, lexact), (rv, re, rexact) = self.left.support(), self.right.support()
         verts = {tag_left(v) for v in lv} | {tag_right(v) for v in rv}
         edges = {("L", e) for e in le} | {("R", e) for e in re}
-        return frozenset(verts), frozenset(edges)
-
-    def path_support(self) -> Support:
-        return self._tag_support(path_support(self.left), path_support(self.right))
-
-    def support_upper(self) -> Support:
-        return self._tag_support(self.left.support_upper(), self.right.support_upper())
+        return frozenset(verts), frozenset(edges), lexact and rexact
 
     def recipe(self) -> Recipe:
         return ("sum", (self.left, self.right), None)
@@ -467,11 +456,29 @@ def opposite(X: ControlledComplex) -> ControlledComplex:
     if recipe is None:
         raise StructureError("opposite needs a generator presentation or a recipe")
     op, parts, keep = recipe
-    flipped = [opposite(part) for part in parts]
-    if op == "restrict":
-        return full_substructure(flipped[0], keep)
-    build = {"product": product, "sum": sum_complex, "fl": reflect_fl, "pf": reflect_pf}
-    return build[op](*flipped)
+    return _rebuild(op, [opposite(part) for part in parts], keep)
+
+
+# recipe op -> (parts, constructor); "restrict" also takes the kept
+# vertices.  Constructors are looked up when called, so a replaced module
+# attribute is seen.
+_RECIPES = {
+    "product": (2, lambda left, right: product(left, right)),
+    "sum": (2, lambda left, right: sum_complex(left, right)),
+    "op": (1, lambda base: opposite(base)),
+    "symmetrize": (1, lambda base: symmetrize(base)),
+    "fl": (1, lambda base: reflect_fl(base)),
+    "pf": (1, lambda base: reflect_pf(base)),
+    "dhat": (1, lambda base: reflect_dhat(base)),
+    "bf": (1, lambda base: reflect_bf(base)),
+    "restrict": (1, lambda base, keep: full_substructure(base, keep)),
+}
+
+
+def _rebuild(op: str, parts, keep=None) -> ControlledComplex:
+    """Replay the recipe ``(op, parts, keep)`` on the given parts."""
+    build = _RECIPES[op][1]
+    return build(*parts) if keep is None else build(*parts, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +517,10 @@ class RestrictedComplex(ControlledComplex):
         """Keeping every vertex controls exactly what the base controls."""
         return super().flexibility_witness() or _part_witness(("base", self.base))
 
-    def support_upper(self) -> Support:
-        return self.base.support_upper()
+    def support(self) -> Support:
+        """The base's support, inexact: unkept ends drop routes."""
+        verts, edges, _ = self.base.support()
+        return verts, edges, False
 
     def recipe(self) -> Recipe:
         return ("restrict", (self.base,), self.keep)

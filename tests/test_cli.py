@@ -402,3 +402,48 @@ class TestSideInputShapes:
             "--route", "[" * 100000 + "]" * 100000, "--from", "0",
         ])
         assert (code, text) == (2, "usage error: bad --route JSON: nesting is too deep")
+
+
+class TestDocumentShapes:
+    """Malformed document fields exit 2 with the field path."""
+
+    @pytest.mark.parametrize("change, want", [
+        ({"generators": [{"start": "0", "edges": ["e"], "dwells": [[1]]}]},
+         "generators[0].dwells[0]: expected an integer position"),
+        ({"cells": 5}, "cells: expected a list"),
+        ({"cells": None}, "cells: expected a list"),
+    ])
+    def test_field_paths(self, tmp_path, ci_file, change, want):
+        with open(ci_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "bad.ctop"
+        path.write_text(json.dumps({**doc, **change}))
+        code, text = run_command(["pi1", str(path), "--bound", "2"])
+        assert (code, text) == (2, "document error: " + want)
+
+
+class TestFileErrors:
+    """Files that cannot be read or written exit 2, never a traceback."""
+
+    def test_an_input_path_that_is_a_directory(self, tmp_path):
+        code, text = run_command(["pi1", str(tmp_path), "--bound", "2"])
+        assert code == 2 and text.startswith("file error: ")
+
+    def test_an_output_path_that_is_a_directory(self, tmp_path):
+        code, text = run_command(["new", "interval-c", "-o", str(tmp_path)])
+        assert code == 2 and text.startswith("file error: ")
+
+    def test_a_document_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.ctop"
+        path.write_bytes(b'{"schema": 1, "name": "\xe9"}')
+        code, text = run_command(["pi1", str(path), "--bound", "2"])
+        assert code == 2 and text.startswith(f"document error: {path}: not UTF-8: ")
+
+    def test_a_map_file_that_is_not_utf8(self, tmp_path, ci_file, circle_file):
+        vmap_file = tmp_path / "vmap.json"
+        vmap_file.write_bytes(b'{"0": "\xe9"}')
+        code, text = run_command([
+            "cover-validate", ci_file, circle_file, "--vmap", str(vmap_file),
+            "--emap", str(vmap_file), "--bound", "2",
+        ])
+        assert code == 2 and text.startswith(f"document error: {vmap_file}: not UTF-8: ")

@@ -352,3 +352,34 @@ class TestPublicSurface:
             if home is None:  # plain data: the one module that holds it
                 (home,) = [m.__name__ for m in modules if vars(m).get(name) is obj]
             assert name in importlib.import_module(home).__all__, (name, home)
+
+
+class TestPackageExports:
+    def test_the_package_exports_the_union_of_the_module_exports(self):
+        import importlib
+
+        import cspace
+
+        union = [name for m in ("core", "covering", "documents", "pi1", "spaces")
+                 for name in importlib.import_module(f"cspace.{m}").__all__]
+        assert len(set(union)) == len(union)
+        assert sorted(cspace.__all__) == sorted(union)
+
+    def test_the_report_types_import_from_the_package(self):
+        from cspace import (
+            BorderFlexibilityReport,
+            ComparisonFunctors,
+            CoveringReport,
+            FullnessReport,
+            LiftingBijectionReport,
+            MiddleRestrictionReport,
+            PreflexibilityReport,
+            ProductPreservationReport,
+            SumPreservationReport,
+        )
+
+        for report in (BorderFlexibilityReport, ComparisonFunctors, CoveringReport,
+                       FullnessReport, LiftingBijectionReport, MiddleRestrictionReport,
+                       PreflexibilityReport, ProductPreservationReport,
+                       SumPreservationReport):
+            assert report.__module__.startswith("cspace.")

@@ -18,6 +18,7 @@ from cspace import (
     ArrowClass,
     FundamentalCategory,
     Route,
+    StructureError,
     check_middle_restriction,
     circle_n_stop,
     enumerate_routes,
@@ -43,7 +44,7 @@ from cspace import (
     route_insert_dwell,
 )
 from cspace.core import MiddleRestrictionReport, PreflexibilityReport
-from cspace.pi1 import _support_truncated
+from cspace.pi1 import _support_longest
 from cspace.spaces import (
     interval_c,
     interval_delayed_minus,
@@ -435,6 +436,38 @@ class TestLiteralMembership:
             _assert_literal_membership(X, 2, kind)
 
 
+def _over_inexact(X):
+    """Whether X is, or is built from, a flexible part, a preflexible hull
+    or a full substructure: the kinds whose support is a superset."""
+    if X.generators is not None:
+        return False
+    op, parts, _ = X.recipe()
+    return op in ("fl", "pf", "restrict") or any(_over_inexact(p) for p in parts)
+
+
+class TestSupport:
+    """``support()`` against the routes the literal definitions control."""
+
+    def test_support_covers_every_controlled_route_and_is_exact_where_declared(self):
+        for name, C in build_corpus().items():
+            for kind, X in _wrapping_kinds(C).items():
+                member = brute_membership(X, 3)
+                used_v, used_e = set(), set()
+                for r in enumerate_routes(X.graph, 3):
+                    if member(r):
+                        used_v.update(X.graph.visited(r))
+                        used_e.update(r.edges)
+                verts, edges, exact = X.support()
+                assert used_v <= verts and used_e <= edges, (name, kind)
+                assert exact == (not _over_inexact(X)), (name, kind)
+                if exact:
+                    assert (used_v, used_e) == (verts, edges), (name, kind)
+                    assert path_support(X) == (verts, edges), (name, kind)
+                else:
+                    with pytest.raises(StructureError):
+                        path_support(X)
+
+
 def _scan_pi1(X, bound):
     """pi1 by walking words and asking ``is_controlled`` of each maximal
     decoration, scanning every cell side at every position of every
@@ -480,7 +513,7 @@ def _scan_pi1(X, bound):
     keyed.sort(key=lambda t: t[0])
     arrows = [ArrowClass(i, rep.start, rep.end, rep, members)
               for i, (_, rep, members) in enumerate(keyed)]
-    return FundamentalCategory(X.flexible, arrows, bound, _support_truncated(X, bound))
+    return FundamentalCategory(X.flexible, arrows, bound, _support_longest(X) > bound)
 
 
 def _assert_same_category(got, want, where):
