@@ -8,6 +8,7 @@ sorted, canonical representatives, truncation flags always printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,10 +23,6 @@ from .core import (
     is_flexible_space,
     path_support,
     preflexibility,
-    reflect_bf,
-    reflect_dhat,
-    reflect_fl,
-    reflect_pf,
     render_id,
 )
 from .covering import (
@@ -47,17 +44,7 @@ from .documents import (
     serialize_complex,
 )
 from .pi1 import fundamental_monoid, pi1
-from .spaces import (
-    STANDARD_KINDS,
-    QuotientSpec,
-    diagonal_square,
-    full_substructure,
-    opposite,
-    product,
-    quotient,
-    std_space,
-    sum_complex,
-)
+from .spaces import STANDARD_KINDS, QuotientSpec, _rebuild, diagonal_square, quotient, std_space
 
 __all__ = ["run_command", "main"]
 
@@ -248,17 +235,6 @@ def _cmd_monoid(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_reflect(args) -> tuple[int, str]:
-    X = load_complex(args.file)
-    reflector = {
-        "dhat": reflect_dhat,
-        "fl": reflect_fl,
-        "pf": reflect_pf,
-        "bf": reflect_bf,
-    }[args.which]
-    return 0, _emit(reflector(X), args.output)
-
-
 def _check_flexible(X, bound) -> tuple[int, str]:
     witness = X.flexibility_witness()
     if witness is None:
@@ -329,26 +305,13 @@ def _cmd_check(args) -> tuple[int, str]:
     return _CHECKS[args.property](X, args.bound)
 
 
-def _cmd_product(args) -> tuple[int, str]:
-    X = load_complex(args.left)
-    Y = load_complex(args.right)
-    return 0, _emit(product(X, Y), args.output)
-
-
-def _cmd_sum(args) -> tuple[int, str]:
-    X = load_complex(args.left)
-    Y = load_complex(args.right)
-    return 0, _emit(sum_complex(X, Y), args.output)
-
-
-def _cmd_op(args) -> tuple[int, str]:
-    return 0, _emit(opposite(load_complex(args.file)), args.output)
-
-
-def _cmd_restrict(args) -> tuple[int, str]:
-    X = load_complex(args.file)
-    keep = _parse_id_list(args.keep, "--keep")
-    return 0, _emit(full_substructure(X, keep), args.output)
+def _cmd_construct(args) -> tuple[int, str]:
+    """product, sum, op, restrict and reflect: replay the recipe ``args.which``
+    on the documents named."""
+    files = (args.left, args.right) if "left" in args else (args.file,)
+    parts = [load_complex(f) for f in files]
+    keep = _parse_id_list(args.keep, "--keep") if args.which == "restrict" else None
+    return 0, _emit(_rebuild(args.which, parts, keep), args.output)
 
 
 def _cmd_quotient(args) -> tuple[int, str]:
@@ -436,7 +399,9 @@ def _cmd_report(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call in a process."""
     parser = _Parser(prog="cspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -472,7 +437,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("which", choices=["dhat", "fl", "pf", "bf"])
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_reflect)
+    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check", help="decide a classification property")
     p.add_argument("file")
@@ -484,25 +449,25 @@ def _build_parser() -> _Parser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_product)
+    p.set_defaults(func=_cmd_construct, which="product")
 
     p = sub.add_parser("sum", help="sum of two documents")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_sum)
+    p.set_defaults(func=_cmd_construct, which="sum")
 
     p = sub.add_parser("op", help="opposite complex")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_op)
+    p.set_defaults(func=_cmd_construct, which="op")
 
     p = sub.add_parser("restrict", help="full substructure on given vertices")
     p.add_argument("file")
     p.add_argument("--keep", required=True,
                    help="comma-separated vertex ids, or a JSON array")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_restrict)
+    p.set_defaults(func=_cmd_construct, which="restrict")
 
     p = sub.add_parser("quotient", help="collapse blocks and edges")
     p.add_argument("file")
@@ -540,9 +505,8 @@ def _build_parser() -> _Parser:
 
 def run_command(argv: list[str] | None = None) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, text output)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as err:
         return 2, f"usage error: {err}"

@@ -55,9 +55,9 @@ def encode_id(x) -> object:
     return x
 
 
-# Ids nest one level per product or sum.  An id nested deeper than this is
-# an input error, well before rendering or ordering it would exhaust the
-# interpreter's recursion limit.
+# Ids nest one level per product or sum, so recipes share the cap: an id or
+# a recipe nested deeper than this is an input error, well before parsing,
+# rendering or ordering it would exhaust the interpreter's recursion limit.
 _MAX_ID_DEPTH = 100
 
 
@@ -83,12 +83,18 @@ def _position(value, path: str) -> int:
     return value
 
 
+def _field(path: str, key: str) -> str:
+    """The path of ``key`` in the object at ``path``; the top document's
+    fields are named bare."""
+    return f"{path}.{key}" if path else key
+
+
 def _need(doc: Mapping, key: str, path: str, kind: type, kindname: str):
     if key not in doc:
-        raise DocumentError(path, f"missing field {key!r}")
+        raise DocumentError(path or "document", f"missing field {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
-        raise DocumentError(f"{path}.{key}", f"expected {kindname}")
+        raise DocumentError(_field(path, key), f"expected {kindname}")
     return value
 
 
@@ -114,76 +120,77 @@ def _route_from(doc: Mapping, graph: Graph, path: str, dwells_allowed: bool) -> 
 
 def parse_complex(doc: Mapping) -> ControlledComplex:
     """Build a complex from a parsed JSON document or recipe."""
-    try:
-        return _parse(doc)
-    except RecursionError:
-        raise DocumentError("recipe", "nesting is too deep") from None
+    return _parse(doc, "", 0)
 
 
-def _parse(doc: Mapping) -> ControlledComplex:
+def _parse(doc: Mapping, path: str, depth: int) -> ControlledComplex:
+    """The document at ``path`` (empty for the top document), inside
+    ``depth`` recipes."""
     if not isinstance(doc, dict):
-        raise DocumentError("document", "expected a JSON object")
+        raise DocumentError(path or "document", "expected a JSON object")
     for key in doc:
         if key not in _TOP_KEYS:
-            raise DocumentError(key, "unknown field")
+            raise DocumentError(_field(path, key), "unknown field")
     if doc.get("schema") != 1:
-        raise DocumentError("schema", f"unsupported schema {doc.get('schema')!r}")
+        raise DocumentError(_field(path, "schema"), f"unsupported schema {doc.get('schema')!r}")
     if "recipe" in doc:
-        return _parse_recipe(doc["recipe"], "recipe")
+        return _parse_recipe(doc["recipe"], _field(path, "recipe"), depth)
 
-    vertices = _need(doc, "vertices", "document", list, "a list")
+    vertices = _need(doc, "vertices", path, list, "a list")
     seen: set[str] = set()
     for i, v in enumerate(vertices):
         if not isinstance(v, str):
-            raise DocumentError(f"vertices[{i}]", "expected a string vertex id")
+            raise DocumentError(_field(path, f"vertices[{i}]"), "expected a string vertex id")
         if v in seen:
-            raise DocumentError(f"vertices[{i}]", f"duplicate vertex {v!r}")
+            raise DocumentError(_field(path, f"vertices[{i}]"), f"duplicate vertex {v!r}")
         seen.add(v)
 
     edges: dict[str, tuple[str, str]] = {}
-    for i, entry in enumerate(_need(doc, "edges", "document", list, "a list")):
-        path = f"edges[{i}]"
+    for i, entry in enumerate(_need(doc, "edges", path, list, "a list")):
+        at = _field(path, f"edges[{i}]")
         if not isinstance(entry, dict):
-            raise DocumentError(path, "expected an object")
-        eid = _need(entry, "id", path, str, "a string edge id")
-        src = _need(entry, "src", path, str, "a string vertex id")
-        dst = _need(entry, "dst", path, str, "a string vertex id")
+            raise DocumentError(at, "expected an object")
+        eid = _need(entry, "id", at, str, "a string edge id")
+        src = _need(entry, "src", at, str, "a string vertex id")
+        dst = _need(entry, "dst", at, str, "a string vertex id")
         if eid in edges:
-            raise DocumentError(f"{path}.id", f"duplicate edge {eid!r}")
+            raise DocumentError(f"{at}.id", f"duplicate edge {eid!r}")
         for which, v in (("src", src), ("dst", dst)):
             if v not in seen:
-                raise DocumentError(f"{path}.{which}", f"unknown vertex {v!r}")
+                raise DocumentError(f"{at}.{which}", f"unknown vertex {v!r}")
         edges[eid] = (src, dst)
     graph = Graph(vertices, edges)
 
     generators = []
-    for i, entry in enumerate(_need(doc, "generators", "document", list, "a list")):
-        generators.append(_route_from(entry, graph, f"generators[{i}]", True))
+    for i, entry in enumerate(_need(doc, "generators", path, list, "a list")):
+        generators.append(_route_from(entry, graph, _field(path, f"generators[{i}]"), True))
 
     cell_docs = doc.get("cells", [])
     if not isinstance(cell_docs, list):
-        raise DocumentError("cells", "expected a list")
+        raise DocumentError(_field(path, "cells"), "expected a list")
     cells = []
     for i, entry in enumerate(cell_docs):
-        path = f"cells[{i}]"
+        at = _field(path, f"cells[{i}]")
         if not isinstance(entry, dict):
-            raise DocumentError(path, "expected an object")
-        start = _need(entry, "start", path, str, "a string vertex id")
+            raise DocumentError(at, "expected an object")
+        start = _need(entry, "start", at, str, "a string vertex id")
         sides = []
         for name in ("left", "right"):
-            word = _need(entry, name, path, list, "a list of edge ids")
+            word = _need(entry, name, at, list, "a list of edge ids")
             sides.append(
-                _route_from({"start": start, "edges": word}, graph, f"{path}.{name}", False)
+                _route_from({"start": start, "edges": word}, graph, f"{at}.{name}", False)
             )
         try:
             cells.append(SquareCell(sides[0], sides[1]))
         except InvalidRouteError as err:
-            raise DocumentError(path, str(err)) from None
+            raise DocumentError(at, str(err)) from None
     return PresentedComplex(graph, generators, cells)
 
 
-def _parse_recipe(recipe, path: str) -> ControlledComplex:
+def _parse_recipe(recipe, path: str, depth: int) -> ControlledComplex:
     """One part is read from "base", two from "args", the kept vertices from "keep"."""
+    if depth == _MAX_ID_DEPTH:
+        raise DocumentError("recipe", f"nesting is too deep (more than {_MAX_ID_DEPTH} recipes)")
     if not isinstance(recipe, dict):
         raise DocumentError(path, "expected an object")
     op = _need(recipe, "op", path, str, "an operation name")
@@ -193,8 +200,9 @@ def _parse_recipe(recipe, path: str) -> ControlledComplex:
         args = _need(recipe, "args", path, list, "a list of two documents")
         if len(args) != 2:
             raise DocumentError(f"{path}.args", "expected exactly two documents")
-        return _rebuild(op, (_parse(args[0]), _parse(args[1])))
-    base = _parse(_need(recipe, "base", path, dict, "a document"))
+        return _rebuild(op, [_parse(doc, f"{path}.args[{i}]", depth + 1)
+                             for i, doc in enumerate(args)])
+    base = _parse(_need(recipe, "base", path, dict, "a document"), f"{path}.base", depth + 1)
     if op != "restrict":
         return _rebuild(op, (base,))
     keep = _need(recipe, "keep", path, list, "a list of vertex ids")

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cspace import cli
 from cspace.cli import run_command
 from cspace.documents import canonical_json, load_complex, serialize_complex
 
@@ -305,6 +310,42 @@ class TestUsage:
         assert out.startswith("document error: ") and "nesting is too deep" in out
 
 
+class TestSharedParser:
+    """One parser serves every call in a process, and no call leaves state in it."""
+
+    def test_many_calls_build_the_parser_once(self, monkeypatch, ci_file):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "cspace":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for _ in range(5):
+            assert run_command(["pi1", ci_file, "--bound", "2"])[0] == 0
+            assert run_command(["reflect", ci_file, "zz"])[0] == 2
+        assert len(built) <= 1
+
+    def test_usage_errors_leave_no_state_between_calls(self, ci_file):
+        calls = [
+            ["pi1", ci_file, "--bound", "2", "--format", "machine"],
+            ["reflect", ci_file, "zz"],
+            ["pi1", ci_file, "--bound", "2"],
+            ["product", ci_file],
+            ["restrict", ci_file, "--keep", "0,1"],
+            ["hom", ci_file, "0", "1"],
+            ["reflect", ci_file, "fl"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "cspace.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            code, text = run_command(argv)
+            assert (code, text) == (fresh.returncode, fresh.stdout.removesuffix("\n"))
+
+
 class TestSideInputShapes:
     """Malformed side inputs exit 2 with the field path, never a traceback."""
 
@@ -412,6 +453,7 @@ class TestDocumentShapes:
          "generators[0].dwells[0]: expected an integer position"),
         ({"cells": 5}, "cells: expected a list"),
         ({"cells": None}, "cells: expected a list"),
+        ({"vertices": 5}, "vertices: expected a list"),
     ])
     def test_field_paths(self, tmp_path, ci_file, change, want):
         with open(ci_file, encoding="utf-8") as fh:
@@ -420,6 +462,46 @@ class TestDocumentShapes:
         path.write_text(json.dumps({**doc, **change}))
         code, text = run_command(["pi1", str(path), "--bound", "2"])
         assert (code, text) == (2, "document error: " + want)
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda ci: {k: v for k, v in ci.items() if k != "vertices"},
+         "document: missing field 'vertices'"),
+        (lambda ci: _recipe("product", args=[{**ci, "vertices": [5]}, ci]),
+         "recipe.args[0].vertices[0]: expected a string vertex id"),
+        (lambda ci: _recipe("product", args=[ci, 5]), "recipe.args[1]: expected a JSON object"),
+        (lambda ci: _recipe("op", base={"schema": 1, "edges": []}),
+         "recipe.base: missing field 'vertices'"),
+        (lambda ci: _recipe("restrict", keep=["0"], base=_recipe("sum", args=[ci, {**ci, "cells": 5}])),
+         "recipe.base.recipe.args[1].cells: expected a list"),
+    ])
+    def test_nested_documents_are_named_from_the_top(self, tmp_path, ci_file, build, want):
+        with open(ci_file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        path = tmp_path / "bad.ctop"
+        path.write_text(json.dumps(build(doc)))
+        code, text = run_command(["pi1", str(path), "--bound", "2"])
+        assert (code, text) == (2, "document error: " + want)
+
+    def test_recipes_nest_as_deep_as_ids(self, tmp_path):
+        """A product of points nests its one vertex's id once per recipe, so
+        the recipe depth cap is the id depth cap: at 100 the vertex can be
+        named, and a 101st recipe is refused."""
+        point = json.loads(run_command(["new", "discrete", "--points", "1"])[1])
+        doc, vertex = point, '"0"'
+        for _ in range(100):
+            doc, vertex = _recipe("product", args=[doc, point]), f'[{vertex}, "0"]'
+        path = tmp_path / "deep100.ctop"
+        path.write_text(json.dumps(doc))
+        code, text = run_command(["hom", str(path), vertex, vertex, "--bound", "2"])
+        assert (code, text) == (0, "classes: 1; truncated: no\n[]")
+        path.write_text(json.dumps(_recipe("product", args=[doc, point])))
+        code, text = run_command(["pi1", str(path), "--bound", "2"])
+        assert (code, text) == (
+            2, "document error: recipe: nesting is too deep (more than 100 recipes)")
+
+
+def _recipe(op: str, **fields) -> dict:
+    return {"schema": 1, "recipe": {"op": op, **fields}}
 
 
 class TestFileErrors:
