@@ -21,10 +21,12 @@ generator starts, lie in the mask.  The other kinds ask their parts
 through ``_accepts_in``, which keeps the parts' answers in the caller's
 ``memo``: a product splits word and mask into its factors' words and
 masks, a sum hands the word to its summand, a full substructure to its
-base, and the flexible part asks its base once per word.  The public
-entry points are thin: ``is_controlled`` validates a ``Route`` once and
-asks ``_accepts``; ``pi1``'s realizability is ``_accepts`` at the full
-mask, the maximal decoration.
+base, and the flexible part asks its base once per word.
+``is_controlled`` is the public entry point: it validates a ``Route``
+once and asks ``_accepts``.  Checks inside the package ask ``_accepts``
+on the words and masks they already hold, with one memo per check, and
+build ``Route``s only for what their reports return; ``pi1``'s
+realizability is ``_accepts`` at the full mask, the maximal decoration.
 
 Because more dwells are always legal, the controlled decorations of one
 dwell-free word form an up-set: the supersets of a finite antichain of
@@ -325,13 +327,6 @@ class Graph:
                 f"route ends at {render_id(built.end)}, not {render_id(r.end)}"
             )
 
-    def vertex_at(self, r: Route, pos: int) -> VertexId:
-        if not 0 <= pos <= len(r.edges):
-            raise InvalidRouteError(f"position {pos} out of range")
-        if pos == 0:
-            return r.start
-        return self.dst(r.edges[pos - 1])
-
     def visited(self, r: Route) -> tuple[VertexId, ...]:
         chain = [r.start]
         chain.extend(self._edges[e][1] for e in r.edges)
@@ -347,22 +342,9 @@ class Graph:
         """
         if not 0 <= p <= q <= len(r.edges):
             raise InvalidRouteError(f"span {p}..{q} out of range")
-        edges = r.edges[p:q]
+        chain = self.visited(r)
         dwells = frozenset(d - p for d in r.dwells if p < d < q)
-        return Route(self.vertex_at(r, p), self.vertex_at(r, q), edges, dwells)
-
-    def subroutes(self, r: Route) -> list[Route]:
-        """All contiguous sub-routes, constants at visited vertices included."""
-        n = len(r.edges)
-        seen: set[Route] = set()
-        out: list[Route] = []
-        for p in range(n + 1):
-            for q in range(p, n + 1):
-                s = self.restrict(r, p, q)
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-        return out
+        return Route(chain[p], chain[q], r.edges[p:q], dwells)
 
     def iter_words(
         self, start: VertexId, max_len: int
@@ -678,9 +660,17 @@ class PresentedComplex(ControlledComplex):
 
 
 def is_flexible_route(X: ControlledComplex, r: Route) -> bool:
-    """True iff every sub-route of r is controlled in X."""
+    """True iff every restriction of r is controlled in X.  Each span p..q
+    is asked of ``_accepts`` once, with one memo, on the dwells strictly
+    inside it re-indexed from p, as ``Graph.restrict`` keeps them."""
     X.graph.validate_route(r)
-    return all(X.is_controlled(s) for s in X.graph.subroutes(r))
+    chain = X.graph.visited(r)
+    mask, n, memo = _mask(r.dwells), len(r.edges), {}
+    return all(
+        X._accepts(chain[p], r.edges[p:q], chain[q],
+                   mask >> p & (1 << q - p) - 2 if q > p else 0, memo)
+        for p in range(n + 1) for q in range(p, n + 1)
+    )
 
 
 def is_flexible_space(X: ControlledComplex) -> bool:
@@ -908,12 +898,14 @@ def reflect_pf(X: ControlledComplex) -> PreflexibleHull:
     return PreflexibleHull(X)
 
 
-def _strip_boundary(g: Route) -> Iterator[Route]:
-    """g with each nonempty subset of its boundary dwells removed."""
+def _strip_boundary(g: Route) -> Iterator[int]:
+    """The dwell mask of g with each nonempty subset of its boundary
+    dwells removed."""
     boundary = sorted(g.dwells & {0, len(g.edges)})
+    mask = _mask(g.dwells)
     for k in range(1, len(boundary) + 1):
         for drop in itertools.combinations(boundary, k):
-            yield Route(g.start, g.end, g.edges, g.dwells - set(drop))
+            yield mask & ~_mask(drop)
 
 
 def reflect_bf(X: ControlledComplex) -> PresentedComplex:
@@ -922,7 +914,7 @@ def reflect_bf(X: ControlledComplex) -> PresentedComplex:
     gens = _presented_or_raise(X, "the border-flexible rewrite")
     new = set(gens)
     for g in gens:
-        new.update(_strip_boundary(g))
+        new.update(_decorate(g, m) for m in _strip_boundary(g))
     return PresentedComplex.derived("bf", X, X.graph, new, X.cells)
 
 
@@ -951,13 +943,11 @@ def preflexibility(X: ControlledComplex, bound: int) -> PreflexibilityReport:
     check_bound(bound)
     dhat = _dhat_graph(X)
     flex = X.flexible
+    memo: dict = {}
     for start in sorted(flex, key=idkey):
         for word, end in dhat.iter_words(start, bound):
-            if not word or end not in flex:
-                continue
-            r = Route(start, end, word)
-            if not X.is_controlled(r):
-                return PreflexibilityReport(False, bound, r)
+            if word and end in flex and not X._accepts(start, word, end, 0, memo):
+                return PreflexibilityReport(False, bound, Route(start, end, word))
     return PreflexibilityReport(True, bound)
 
 
@@ -979,8 +969,10 @@ def border_flexibility(X: ControlledComplex) -> BorderFlexibilityReport:
     stripped stays controlled.  Generators suffice because a stripped
     concatenation re-decomposes through the stripped generators."""
     gens = _presented_or_raise(X, "border flexibility")
-    witnesses = [s for g in sorted(gens, key=Route.sort_key)
-                 for s in _strip_boundary(g) if not X.is_controlled(s)]
+    memo: dict = {}
+    witnesses = [_decorate(g, m) for g in sorted(gens, key=Route.sort_key)
+                 for m in _strip_boundary(g)
+                 if not X._accepts(g.start, g.edges, g.end, m, memo)]
     return BorderFlexibilityReport(not witnesses, tuple(witnesses))
 
 
@@ -1024,13 +1016,13 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     # span-boundary dwells anyway
     into: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
     out_of: dict[VertexId, list[Route]] = {v: [Route.constant(v)] for v in flex}
+    memo: dict = {}
     for start, word, end in enumerate_words(dhat, bound):
         if not word:
             continue
-        r = Route(start, end, word)
-        if start in flex and end in flex and not X.is_controlled(r):
+        if start in flex and end in flex and not X._accepts(start, word, end, 0, memo):
             return MiddleRestrictionReport(False, False, bound, 0, ())
-        targets.append(r)
+        targets.append(Route(start, end, word))
         dwelled = max_decoration(start, end, word)
         if start in flex:
             into.setdefault(end, []).append(dwelled)
@@ -1040,12 +1032,14 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     witnesses: list[tuple[Route, Route, Route]] = []
     for r in targets:
         # r is tested verbatim: a dwell-free middle is the strictest
-        # decoration, and dwell insertion recovers every other one.
+        # decoration, and dwell insertion recovers every other one.  The
+        # candidate b1 * r * b2 carries b1's and b2's dwells only.
         found = None
         for b1 in into.get(r.start, ()):
+            head = b1.edges + r.edges
             for b2 in out_of.get(r.end, ()):
-                cand = route_concat(route_concat(b1, r), b2)
-                if X.is_controlled(cand):
+                dwells = _full_mask(len(b1.edges)) | _full_mask(len(b2.edges)) << len(head)
+                if X._accepts(b1.start, head + b2.edges, b2.end, dwells, memo):
                     found = (b1, r, b2)
                     break
             if found:

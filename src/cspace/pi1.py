@@ -120,12 +120,12 @@ class FundamentalCategory:
         self._arrows = tuple(arrows)
         self._bound = bound
         self._possibly_incomplete = possibly_incomplete
-        self._by_label: dict[Label, int] = {}
-        grouped: dict[tuple[VertexId, VertexId], list[int]] = {}
+        self._by_label: dict[Label, ArrowClass] = {}
+        grouped: dict[tuple[VertexId, VertexId], list[ArrowClass]] = {}
         for a in self._arrows:
             for lab in a.labels:
-                self._by_label[lab] = a.index
-            grouped.setdefault((a.source, a.target), []).append(a.index)
+                self._by_label[lab] = a
+            grouped.setdefault((a.source, a.target), []).append(a)
         self._homs = {k: tuple(v) for k, v in grouped.items()}
 
     @property
@@ -149,11 +149,10 @@ class FundamentalCategory:
         return len(self._arrows)
 
     def hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
-        return tuple(self._arrows[i] for i in self._homs.get((x, y), ()))
+        return self._homs.get((x, y), ())
 
     def class_of_label(self, start: VertexId, word: Iterable[EdgeId]) -> ArrowClass | None:
-        idx = self._by_label.get((start, tuple(word)))
-        return None if idx is None else self._arrows[idx]
+        return self._by_label.get((start, tuple(word)))
 
     def class_of(self, r: Route) -> ArrowClass | None:
         """Class of a route; the dwell set is erased first."""

@@ -628,16 +628,46 @@ def quotient(X: ControlledComplex, spec: QuotientSpec) -> PresentedComplex:
 # symmetrization and cancellation
 
 
-def _fresh_reverse_id(e: EdgeId, taken: set[EdgeId]) -> EdgeId:
+def _marks(e: EdgeId) -> tuple[bool, EdgeId, int]:
+    """An edge id as (whether it is a string, its root, its depth).  A
+    reversal mark is a ``~`` suffix on a string id and a ``("rev", .)``
+    wrapper on any other id; the root is the id without its marks and the
+    depth counts them."""
     if isinstance(e, str):
-        cand = e + "~"
-        while cand in taken:
-            cand += "~"
-        return cand
-    cand: EdgeId = ("rev", e)
-    while cand in taken:
-        cand = ("rev", cand)
-    return cand
+        root = e.rstrip("~")
+        return True, root, len(e) - len(root)
+    depth = 0
+    while isinstance(e, tuple) and len(e) == 2 and e[0] == "rev":
+        e, depth = e[1], depth + 1
+    return False, e, depth
+
+
+def _reverse_ids(edges: Iterable[EdgeId]) -> dict[EdgeId, EdgeId]:
+    """Each edge's reverse id, the edges taken in ``idkey`` order: the
+    edge with the fewest marks added that names no edge and no reverse
+    named before.  Every id taken, split by ``_marks``, points at or below
+    the next free depth above its own; a probe follows and shortens those
+    pointers, so it jumps over the depths already taken."""
+    edges = sorted(edges, key=idkey)
+    marked = [_marks(e) for e in edges]
+    above = {m: m[2] + 1 for m in marked}
+    reverse: dict[EdgeId, EdgeId] = {}
+    for e, (is_str, root, depth) in zip(edges, marked):
+        taken, free = [], depth + 1
+        while (key := (is_str, root, free)) in above:
+            taken.append(key)
+            free = above[key]
+        for key in taken:
+            above[key] = free
+        above[is_str, root, free] = free + 1
+        if is_str:
+            rev = root + "~" * free
+        else:
+            rev = root
+            for _ in range(free):
+                rev = ("rev", rev)
+        reverse[e] = rev
+    return reverse
 
 
 def symmetrize(X: ControlledComplex) -> PresentedComplex:
@@ -647,12 +677,8 @@ def symmetrize(X: ControlledComplex) -> PresentedComplex:
     if X.generators is None:
         raise StructureError("symmetrize needs a generator presentation")
     edges = {e: X.graph.endpoints(e) for e in X.graph.edge_ids}
-    taken = set(edges)
-    reverse: dict[EdgeId, EdgeId] = {}
-    for e in sorted(X.graph.edge_ids, key=idkey):
-        r = _fresh_reverse_id(e, taken)
-        taken.add(r)
-        reverse[e] = r
+    reverse = _reverse_ids(X.graph.edge_ids)
+    for e, r in reverse.items():
         s, d = X.graph.endpoints(e)
         edges[r] = (d, s)
     graph = Graph(X.graph.vertices, edges)
@@ -685,10 +711,9 @@ def reversible_cancellation(
         raise StructureError(
             f"{render_id(e_reverse)} does not reverse {render_id(e)}"
         )
-    fwd = Route(s, d, (e,))
-    bwd = Route(d, s, (e_reverse,))
-    for r in (fwd, bwd):
-        if not X.is_controlled(r):
+    memo: dict = {}
+    for r in (Route(s, d, (e,)), Route(d, s, (e_reverse,))):
+        if not X._accepts(r.start, r.edges, r.end, 0, memo):
             raise StructureError(f"route {r} is not controlled; cannot cancel")
         if not is_flexible_route(X, r):
             raise StructureError(f"route {r} is not flexible; cannot cancel")

@@ -4,7 +4,7 @@ These re-derive controlled-route membership and arrow classes by forward
 saturation of the closure rules, sharing no decision code with the
 package: membership comes from enumerating generator decompositions
 breadth-first, and arrow classes come from an explicit rewrite closure
-over realizable words.  Membership in a complex built from others
+over realizable words, for every kind of complex.  Membership in a complex built from others
 follows the literal definition of its construction on top of that
 table: a product route through both of its projections, a flexible-part
 route through every one of its sub-routes.  The covering audit decides
@@ -178,11 +178,30 @@ def _visited(X: ControlledComplex, start, word) -> list:
     return chain
 
 
+def _words(X: ControlledComplex, bound: int) -> list:
+    """Every (start, word, end) of at most ``bound`` edges in X's graph."""
+    out = []
+    todo = [(v, (), v) for v in X.graph.vertices]
+    while todo:
+        start, word, end = todo.pop()
+        out.append((start, word, end))
+        if len(word) < bound:
+            todo.extend((start, word + (e,), X.graph.dst(e)) for e in X.graph.out_edges(end))
+    return out
+
+
 def brute_pi1_components(X: ControlledComplex, bound: int) -> set:
     """Partition of realizable labels under the rewrite closure of the
-    cells, as a set of frozensets of (start, word) labels."""
-    table = brute_route_table(X, bound)
-    labels = set(table)
+    cells, as a set of frozensets of (start, word) labels.  A complex with
+    generators takes its labels from ``brute_route_table``; any other
+    from ``brute_membership`` at the maximal decoration of every word,
+    from every vertex."""
+    if X.generators is not None:
+        labels = set(brute_route_table(X, bound))
+    else:
+        member = brute_membership(X, bound)
+        labels = {(start, word) for start, word, end in _words(X, bound)
+                  if member(Route(start, end, word, frozenset(range(len(word) + 1))))}
     sides = []
     for cell in X.cells:
         sides.append((cell.left, cell.right))

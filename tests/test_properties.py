@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 
 from conftest import build_corpus
-from oracles import brute_membership, brute_pi1_components, brute_route_table
+from oracles import _sub_routes, brute_membership, brute_pi1_components, brute_route_table
 from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
     ArrowClass,
@@ -222,6 +222,19 @@ class TestGeneratedSpaceWalk:
             assert check_middle_restriction(X, 4) == (
                 _walk_and_ask_middle_restriction(X, 4)
             ), name
+
+    def test_middle_restriction_reports_match_below_the_generator_lengths(self):
+        """Below a generator's length the walk cannot refute
+        preflexibility, so the prolongations' dwells decide the report."""
+        for name, X in build_corpus().items():
+            for bound in range(4):
+                assert check_middle_restriction(X, bound) == (
+                    _walk_and_ask_middle_restriction(X, bound)
+                ), (name, bound)
+        report = check_middle_restriction(interval_middle_delay(), 1)
+        assert report.holds and (
+            Route.constant("0"), Route("0", "m", ("e1",)),
+            Route("m", "1", ("e2",), frozenset({0, 1}))) in report.witnesses
 
 
 class TestCategoryLaws:
@@ -434,6 +447,34 @@ class TestLiteralMembership:
     def test_every_kind_matches_its_literal_definition(self, C):
         for kind, X in _wrapping_kinds(C).items():
             _assert_literal_membership(X, 2, kind)
+
+
+class TestFlexibleRoutes:
+    def test_every_kind_on_the_corpus_matches_the_literal_definition(self):
+        """A route is flexible iff the literal membership controls every
+        one of its restrictions."""
+        for name, C in build_corpus().items():
+            for kind, X in _wrapping_kinds(C).items():
+                brute = brute_membership(X, 3)
+                for r in enumerate_routes(X.graph, 3):
+                    want = all(brute(s) for s in _sub_routes(X, r))
+                    assert is_flexible_route(X, r) == want, (name, kind, r)
+
+
+class TestArrowClassesOfEveryKind:
+    """pi1 of each construction kind against the rewrite closure over the
+    labels its literal membership realizes."""
+
+    def test_every_kind_on_the_corpus_matches_the_rewrite_closure(self):
+        for name, C in build_corpus().items():
+            for kind, X in _every_kind(C).items():
+                got = {a.labels for a in pi1(X, 3).arrows}
+                assert got == brute_pi1_components(X, 3), (name, kind)
+
+    @given(presented_complexes())
+    def test_every_kind_matches_the_rewrite_closure(self, C):
+        for kind, X in _every_kind(C).items():
+            assert {a.labels for a in pi1(X, 3).arrows} == brute_pi1_components(X, 3), kind
 
 
 def _over_inexact(X):

@@ -12,9 +12,12 @@ from cspace import (
     StructureError,
     circle_n_stop,
     discrete,
+    PresentedComplex,
     full_substructure,
+    idkey,
     interval_c,
     interval_delayed_plus,
+    interval_j,
     interval_reversible,
     line_c,
     opposite,
@@ -31,6 +34,7 @@ from cspace import (
     tag_left,
     tag_right,
 )
+from cspace.spaces import _reverse_ids
 
 
 def _reverse(r: Route) -> Route:
@@ -218,7 +222,57 @@ class TestQuotient:
             quotient(X, QuotientSpec(blocks=[["0", "1"], ["1", "2"]]))
 
 
+def _probe_reverse_ids(edges):
+    """Reverse ids named by probing: each edge in ``idkey`` order takes
+    the first of e~, e~~, ... (("rev", e), ("rev", ("rev", e)), ... for an
+    id that is not a string) that names no edge and no reverse named
+    before."""
+    taken, out = set(edges), {}
+    for e in sorted(edges, key=idkey):
+        cand = e + "~" if isinstance(e, str) else ("rev", e)
+        while cand in taken:
+            cand = cand + "~" if isinstance(e, str) else ("rev", cand)
+        taken.add(cand)
+        out[e] = cand
+    return out
+
+
+def _assert_reverses_as_probed(X):
+    want = _probe_reverse_ids(X.graph.edge_ids)
+    assert _reverse_ids(X.graph.edge_ids) == want
+    S = symmetrize(X)
+    assert S.graph.edge_ids == X.graph.edge_ids | set(want.values())
+    for e, r in want.items():
+        s, d = X.graph.endpoints(e)
+        assert Route(d, s, (r,)) in S.generators
+
+
+def _one_generator_per_edge(edges):
+    g = Graph({v for ends in edges.values() for v in ends}, edges)
+    return PresentedComplex(g, {Route(s, d, (e,)) for e, (s, d) in edges.items()})
+
+
 class TestSymmetrize:
+    def test_nested_reverses_are_named_as_by_probing(self):
+        X = interval_c()
+        for _ in range(9):
+            _assert_reverses_as_probed(X)
+            X = symmetrize(X)
+
+    def test_reverses_skip_taken_ids_as_probing_does(self):
+        _assert_reverses_as_probed(_one_generator_per_edge(
+            {"e": ("0", "1"), "e~~": ("1", "0"), "f~": ("0", "1"), "f": ("1", "0")}))
+        # a string and a wrapped id of one root and depth name different edges
+        _assert_reverses_as_probed(_one_generator_per_edge(
+            {"e": ("0", "1"), "e~~": ("1", "0"), ("rev", "e"): ("0", "1"),
+             ("rev", ("rev", "e~")): ("1", "0"), 5: ("0", "0"), ("rev", 5): ("1", "1")}))
+
+    def test_tuple_reverses_are_named_as_by_probing(self):
+        X = sum_complex(interval_c(), interval_j())
+        for _ in range(4):
+            _assert_reverses_as_probed(X)
+            X = symmetrize(X)
+
     def test_reverse_edges_and_cancellation_cells_appear(self, ci):
         S = symmetrize(ci)
         assert S.is_controlled(Route("1", "0", ("e~",)))
