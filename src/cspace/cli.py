@@ -43,7 +43,7 @@ from .documents import (
     save_complex,
     serialize_complex,
 )
-from .pi1 import fundamental_monoid, hom_classes, pi1
+from .pi1 import _check_objects, fundamental_monoid, pi1
 from .spaces import STANDARD_KINDS, QuotientSpec, _rebuild, diagonal_square, quotient, std_space
 
 __all__ = ["run_command", "main"]
@@ -207,8 +207,10 @@ def _cmd_pi1(args) -> tuple[int, str]:
 def _cmd_hom(args) -> tuple[int, str]:
     X = load_complex(args.file)
     x, y = _parse_id(args.source, "source"), _parse_id(args.target, "target")
-    hom = hom_classes(X, x, y, args.bound)
-    flag = "yes" if pi1(X, args.bound).possibly_incomplete else "no"
+    _check_objects(X, x, y)
+    cat = pi1(X, args.bound)
+    hom = cat.hom(x, y)
+    flag = "yes" if cat.possibly_incomplete else "no"
     lines = [f"classes: {len(hom)}; truncated: {flag}"]
     lines += [_word(a.rep) for a in hom]
     return 0, "\n".join(lines)

@@ -17,7 +17,9 @@ end, dwells, memo)``, on a graph-valid edge word with its dwell set as a
 bitmask (bit i marks a dwell at position i).  A presented complex runs
 interval dynamic programming over the generator words: the word must
 split into generator words whose required dwells, shifted to where each
-generator starts, lie in the mask.  The other kinds ask their parts
+generator starts, lie in the mask.  The generators are indexed by their
+last edge, so each prefix tries only the generators that can end it.
+The other kinds ask their parts
 through ``_accepts_in``, which keeps the parts' answers in the caller's
 ``memo``: a product splits word and mask into its factors' words and
 masks, a sum hands the word to its summand, a full substructure to its
@@ -585,12 +587,14 @@ class PresentedComplex(ControlledComplex):
             flexible.add(g.end)
         super().__init__(graph, cells, flexible)
         self._generators = gens
-        # nonempty generators drive the DP, as (edge word, mask of required
-        # dwells); constants only mark flexibility
-        self._words = [
-            (g.edges, _mask(g.dwells))
-            for g in sorted((g for g in gens if g.edges), key=Route.sort_key)
-        ]
+        # nonempty generators drive the DP, as (length, edge word, mask of
+        # required dwells) listed under their last edge; constants only
+        # mark flexibility
+        self._ending: dict[EdgeId, list[tuple[int, Word, int]]] = {}
+        for g in sorted((g for g in gens if g.edges), key=Route.sort_key):
+            self._ending.setdefault(g.edges[-1], []).append(
+                (len(g.edges), g.edges, _mask(g.dwells))
+            )
         self._recipe: Recipe | None = None
 
     @classmethod
@@ -618,9 +622,10 @@ class PresentedComplex(ControlledComplex):
             return start in self._flexible
         n = len(word)
         ok = [True] + [False] * n
+        ending = self._ending
         for c in range(1, n + 1):
-            for g, need in self._words:
-                p = c - len(g)
+            for k, g, need in ending.get(word[c - 1], ()):
+                p = c - k
                 if p >= 0 and ok[p] and word[p:c] == g and not (need << p) & ~dwells:
                     ok[c] = True
                     break
@@ -633,10 +638,11 @@ class PresentedComplex(ControlledComplex):
             return frozenset({0}) if start in self._flexible else frozenset()
         n = len(word)
         needs: list[frozenset[int]] = [frozenset({0})] + [frozenset()] * n
+        ending = self._ending
         for c in range(1, n + 1):
             found: set[int] = set()
-            for g, need in self._words:
-                p = c - len(g)
+            for k, g, need in ending.get(word[c - 1], ()):
+                p = c - k
                 if p >= 0 and needs[p] and word[p:c] == g:
                     found.update(a | need << p for a in needs[p])
             needs[c] = _minimal(found)

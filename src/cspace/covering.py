@@ -323,7 +323,8 @@ def check_lifting_bijection(
     hit: dict[tuple[VertexId, int], Route] = {}
     ok = True
 
-    for c in cat_base.hom(p.vmap[x0], y):
+    base_hom = cat_base.hom(p.vmap[x0], y)
+    for c in base_hom:
         try:
             lift = lift_route(p, c.rep, x0)
         except StructureError as err:
@@ -354,7 +355,6 @@ def check_lifting_bijection(
                 witnesses.append(
                     f"total class of {t.rep} (projects to {down}) is never lifted to"
                 )
-    base_count = len(cat_base.hom(p.vmap[x0], y))
     return LiftingBijectionReport(
-        ok, x0, y, fibre, base_count, total_count, tuple(pairs), tuple(witnesses)
+        ok, x0, y, fibre, len(base_hom), total_count, tuple(pairs), tuple(witnesses)
     )

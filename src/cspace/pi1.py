@@ -27,8 +27,10 @@ it is found from the label holding the nonempty side of its cell: each
 cell is indexed once by that side, and inserting an empty side is found
 as deleting the other side from the longer label.  A call at a bound
 within the store replays union-find over the moves that fit (its class
-roots are kept as one int array per bound) and builds a fresh category
-from them; a larger bound rebuilds the store by one walk to that bound.
+roots and their arrow ordinals are kept as int arrays per bound) and
+returns a view that builds a hom's classes when asked: the labels of
+one hom lie in one run of the store, found by bisection.  A larger
+bound rebuilds the store by one walk to that bound.
 
 Enumeration is truncated at a length bound.  The category is exact when
 the path-support graph is acyclic with longest path within the bound;
@@ -39,7 +41,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable, Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -107,7 +110,19 @@ class ArrowClass:
 
 
 class FundamentalCategory:
-    """Truncated fundamental category: objects, arrow classes, composition."""
+    """Truncated fundamental category: objects, arrow classes, composition.
+
+    Labels are numbered, and each label within the bound names its class
+    by a root, one member of that class.  Label i lies in block
+    ``keys[i] // width``, one block per (source, target) pair, so a hom's
+    classes are the roots in its block, and ``is_preorder`` reads the
+    roots alone.  ``pi1`` returns a view over the complex's label store
+    that builds a hom's ``ArrowClass`` objects when the hom, one of its
+    labels or the arrow list is first asked for, and hands the same
+    objects back on every later ask.  Built from explicit arrows, a
+    category fills all of that up front: each arrow is its own root,
+    numbered by its place in ``arrows``, and every hom is built.
+    """
 
     def __init__(
         self,
@@ -116,17 +131,47 @@ class FundamentalCategory:
         bound: int,
         possibly_incomplete: bool,
     ) -> None:
+        arrows = tuple(arrows)
+        homs: dict[tuple[VertexId, VertexId], list[ArrowClass]] = {}
+        for a in arrows:
+            homs.setdefault((a.source, a.target), []).append(a)
+        blocks = {pair: k for k, pair in enumerate(homs)}
         self._objects = tuple(sorted(objects, key=idkey))
-        self._arrows = tuple(arrows)
         self._bound = bound
         self._possibly_incomplete = possibly_incomplete
-        self._by_label: dict[Label, ArrowClass] = {}
-        grouped: dict[tuple[VertexId, VertexId], list[ArrowClass]] = {}
-        for a in self._arrows:
-            for lab in a.labels:
-                self._by_label[lab] = a
-            grouped.setdefault((a.source, a.target), []).append(a)
-        self._homs = {k: tuple(v) for k, v in grouped.items()}
+        self._index = {lab: k for k, a in enumerate(arrows) for lab in a.labels}
+        self._roots: Sequence[int] = range(len(arrows))
+        self._keys: Sequence[int] = [blocks[a.source, a.target] for a in arrows]
+        self._width = 1
+        # no store: every hom is built, so none is left to look up
+        self._store: _LabelStore | None = None
+        self._ordinals: Sequence[int] = ()
+        self._classes = dict(enumerate(arrows))
+        self._homs = {pair: tuple(v) for pair, v in homs.items()}
+        self._arrows: tuple[ArrowClass, ...] | None = arrows
+        self._arrow_count = len(arrows)
+
+    @classmethod
+    def _view(
+        cls, store: _LabelStore, bound: int, roots: array, ordinals: array
+    ) -> FundamentalCategory:
+        """The category at ``bound`` over ``store``, whose classes at that
+        bound are ``roots`` and whose arrow indices are ``ordinals``."""
+        cat = cls.__new__(cls)
+        cat._objects = store.objects
+        cat._bound = bound
+        cat._possibly_incomplete = store.longest > bound
+        cat._index = store.index
+        cat._roots = roots
+        cat._keys = store.keys
+        cat._width = store.bound + 1
+        cat._store = store
+        cat._ordinals = ordinals
+        cat._classes = {}
+        cat._homs = {}
+        cat._arrows = None
+        cat._arrow_count = ordinals[-1]
+        return cat
 
     @property
     def objects(self) -> tuple[VertexId, ...]:
@@ -134,6 +179,10 @@ class FundamentalCategory:
 
     @property
     def arrows(self) -> tuple[ArrowClass, ...]:
+        if self._arrows is None:
+            self._arrows = tuple(
+                self._class(i) for i, root in enumerate(self._roots) if root == i
+            )
         return self._arrows
 
     @property
@@ -146,13 +195,19 @@ class FundamentalCategory:
 
     @property
     def arrow_count(self) -> int:
-        return len(self._arrows)
+        return self._arrow_count
 
     def hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
-        return self._homs.get((x, y), ())
+        got = self._homs.get((x, y))
+        if got is None:
+            got = self._homs[x, y] = self._build_hom(x, y)
+        return got
 
     def class_of_label(self, start: VertexId, word: Iterable[EdgeId]) -> ArrowClass | None:
-        return self._by_label.get((start, tuple(word)))
+        i = self._index.get((start, tuple(word)))
+        if i is None or (root := self._roots[i]) < 0:
+            return None
+        return self._class(root)
 
     def class_of(self, r: Route) -> ArrowClass | None:
         """Class of a route; the dwell set is erased first."""
@@ -181,7 +236,41 @@ class FundamentalCategory:
         return out
 
     def is_preorder(self) -> bool:
-        return all(len(v) <= 1 for v in self._homs.values())
+        """Whether every hom has at most one class: no block holds two
+        roots.  Builds no class."""
+        keys, width = self._keys, self._width
+        blocks = [keys[i] // width for i, root in enumerate(self._roots) if root == i]
+        return len(blocks) == len(set(blocks))
+
+    def _class(self, root: int) -> ArrowClass:
+        """The class whose root is ``root``, building its hom on first ask."""
+        got = self._classes.get(root)
+        if got is None:
+            vertices = self._store.vertices
+            x, y = divmod(self._keys[root] // self._width, len(vertices))
+            self.hom(vertices[x], vertices[y])
+            got = self._classes[root]
+        return got
+
+    def _build_hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
+        """The classes of hom(x, y), one per root in its block of the
+        store, listed by root."""
+        rank = {} if self._store is None else self._store.rank
+        rx, ry = rank.get(x), rank.get(y)
+        if rx is None or ry is None:
+            return ()
+        keys, roots, labels = self._keys, self._roots, self._store.labels
+        first = (rx * len(rank) + ry) * self._width
+        lo, hi = bisect_left(keys, first), bisect_right(keys, first + self._bound)
+        members: dict[int, list[Label]] = {}
+        for i in range(lo, hi):
+            members.setdefault(roots[i], []).append(labels[i])
+        hom = []
+        for root, labs in members.items():
+            rep = Route(x, y, labels[root][1])
+            a = self._classes[root] = ArrowClass(self._ordinals[root], x, y, rep, frozenset(labs))
+            hom.append(a)
+        return tuple(hom)
 
 
 def _support_longest(X: ControlledComplex) -> float:
@@ -214,38 +303,51 @@ class _LabelStore:
     """The realizable labels of one complex up to ``bound``, with the cell
     moves between them and the classes of every bound asked so far.
 
-    ``labels`` are in representative order: by start and end vertex, then by length, then edge by edge in ``idkey`` order.  A
-    move keeps both endpoints, so all labels of a class share this order's
-    first two keys, and the class member of least index is its
-    representative; listing classes by that index lists the arrows in
-    order.  ``edges`` holds each move as two label indices, the moves
-    sorted by the length of their longer label, so the moves within bound
-    b are the first ``cuts[b]`` pairs.  ``roots[b]`` gives each label of
-    length <= b its class's least index, and -1 to longer labels.
-    ``longest`` is the support graph's longest path (infinite when cyclic).
+    ``labels`` are in representative order: by start and end vertex, then
+    by length, then edge by edge in ``idkey`` order.  ``keys`` holds each
+    label's sort key, (start rank * vertex count + end rank) * (bound + 1)
+    + length, where ``vertices`` lists the vertices by rank and ``rank``
+    maps them back, so the labels of one hom within a bound are the run
+    that a bisection of ``keys`` finds.  ``index`` numbers the labels.  A
+    move keeps both endpoints, so all labels of a class share a block,
+    and the class member of least index is its representative; listing
+    classes by that index lists the arrows in order.  ``edges`` holds
+    each move as two label indices, the moves sorted by the length of
+    their longer label, so the moves within bound b are the first
+    ``cuts[b]`` pairs.  ``roots[b]`` gives each label of length <= b its
+    class's least index, and -1 to longer labels; ``ordinals[b][i]``
+    counts the roots below index i, so a root's arrow index is its
+    ordinal and the arrow count is the last entry.  ``longest`` is the
+    support graph's longest path (infinite when cyclic).
     """
 
-    __slots__ = ("bound", "labels", "edges", "cuts", "roots", "longest")
+    __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
+                 "edges", "cuts", "roots", "ordinals", "longest")
 
     def __init__(self, X: ControlledComplex, bound: int, longest: float) -> None:
         self.bound = bound
         self.longest = longest
         self.roots: dict[int, array] = {}
-        rank = {v: i for i, v in enumerate(sorted(X.graph.vertices, key=idkey))}
+        self.ordinals: dict[int, array] = {}
+        self.objects = tuple(sorted(X.flexible, key=idkey))
+        self.vertices = tuple(sorted(X.graph.vertices, key=idkey))
+        rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
         width = bound + 1
         found = []
         memo: dict = {}
         # iter_words lists the words from one start in edge-by-edge idkey
         # order (a prefix before its extensions), so a stable sort by start,
         # end and length leaves each (start, end, length) block in that order
-        for x in sorted(X.flexible, key=idkey):
+        for x in self.objects:
             for word, end in X.graph.iter_words(x, bound):
                 if _accepts_in(X, x, word, end, _full_mask(len(word)), memo):
                     key = (rank[x] * len(rank) + rank[end]) * width + len(word)
                     found.append((key, (x, word)))
         found.sort(key=itemgetter(0))
+        self.keys = array("q", [key for key, _ in found])
         self.labels: list[Label] = [lab for _, lab in found]
         del found, memo
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.edges, self.cuts = self._moves(X)
 
     def _moves(self, X: ControlledComplex) -> tuple[array, list[int]]:
@@ -259,7 +361,7 @@ class _LabelStore:
             old, new = (c.left, c.right) if c.left.edges else (c.right, c.left)
             if old.edges:
                 sides.setdefault(len(old.edges), {}).setdefault(old.edges, []).append(new.edges)
-        index = {lab: i for i, lab in enumerate(self.labels)}
+        index = self.index
         by_length: list[list[int]] = [[] for _ in range(self.bound + 1)]
         for i, (start, word) in enumerate(self.labels):
             n = len(word)
@@ -278,13 +380,14 @@ class _LabelStore:
             cuts.append(len(edges) // 2)
         return edges, cuts
 
-    def _roots_at(self, bound: int) -> array:
+    def _roots_at(self, bound: int) -> tuple[array, array]:
         """Union-find over the moves within the bound; a union points the
         larger root at the smaller, so every parent index is at most its
-        child's and one forward pass flattens the forest."""
+        child's and one forward pass flattens the forest and counts the
+        roots."""
         got = self.roots.get(bound)
         if got is not None:
-            return got
+            return got, self.ordinals[bound]
         parent = list(range(len(self.labels)))
         edges = self.edges
         for t in range(0, 2 * self.cuts[bound], 2):
@@ -297,47 +400,45 @@ class _LabelStore:
                 parent[b] = a
             elif b < a:
                 parent[a] = b
+        ordinals = array("i", [0])
+        count = 0
         for i, (_, word) in enumerate(self.labels):
             # labels past the bound have no move within it, so no label's
             # parent is one of them
             parent[i] = parent[parent[i]] if len(word) <= bound else -1
+            count += parent[i] == i
+            ordinals.append(count)
         got = self.roots[bound] = array("i", parent)
-        return got
+        self.ordinals[bound] = ordinals
+        return got, ordinals
 
-    def category(self, X: ControlledComplex, bound: int) -> FundamentalCategory:
-        labels = self.labels
-        groups: dict[int, list[Label]] = {}
-        for i, root in enumerate(self._roots_at(bound)):
-            if root == i:
-                groups[i] = [labels[i]]
-            elif root >= 0:
-                groups[root].append(labels[i])
-        arrows = []
-        for index, (root, members) in enumerate(groups.items()):
-            start, word = labels[root]
-            end = X.graph.dst(word[-1]) if word else start
-            arrows.append(
-                ArrowClass(index, start, end, Route(start, end, word), frozenset(members))
-            )
-        return FundamentalCategory(X.flexible, arrows, bound, self.longest > bound)
+    def category(self, bound: int) -> FundamentalCategory:
+        """The view at ``bound``; builds no arrow class."""
+        return FundamentalCategory._view(self, bound, *self._roots_at(bound))
 
 
 def pi1(X: ControlledComplex, bound: int) -> FundamentalCategory:
-    """Truncated fundamental category at the given length bound."""
+    """Truncated fundamental category at the given length bound, as a view
+    over the complex's label store."""
     check_bound(bound)
     store = X._label_store
     if store is None or store.bound < bound:
         longest = _support_longest(X) if store is None else store.longest
         store = X._label_store = _LabelStore(X, bound, longest)
-    return store.category(X, bound)
+    return store.category(bound)
+
+
+def _check_objects(X: ControlledComplex, *vertices: VertexId) -> None:
+    """Raise unless every vertex is flexible, an object of pi1."""
+    for v in vertices:
+        if v not in X.flexible:
+            raise StructureError(f"{render_id(v)} is not a flexible vertex")
 
 
 def hom_classes(
     X: ControlledComplex, x: VertexId, y: VertexId, bound: int
 ) -> tuple[ArrowClass, ...]:
-    for v in (x, y):
-        if v not in X.flexible:
-            raise StructureError(f"{render_id(v)} is not a flexible vertex")
+    _check_objects(X, x, y)
     return pi1(X, bound).hom(x, y)
 
 
@@ -358,8 +459,7 @@ class MonoidTable:
 
 
 def fundamental_monoid(X: ControlledComplex, x0: VertexId, bound: int) -> MonoidTable:
-    if x0 not in X.flexible:
-        raise StructureError(f"{render_id(x0)} is not a flexible vertex")
+    _check_objects(X, x0)
     cat = pi1(X, bound)
     classes = cat.hom(x0, x0)
     local = {a.index: i for i, a in enumerate(classes)}

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cspace import (
+    Graph,
+    PresentedComplex,
     circle_n_stop,
     interval_c,
     interval_delayed_minus,
@@ -34,6 +36,19 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def shared_last_edge() -> PresentedComplex:
+    """Two generators of different lengths and dwell needs end in edge f.
+    The longer, (0;[e,f];{1}), comes first in generator order, and on
+    [e,f] with a dwell at 2 only it fails on its dwells, while the
+    shorter, (1;[f];{1}), succeeds after (0;[e];{}).  g leads back to 1,
+    so f recurs within a word."""
+    g = Graph({"0", "1", "2"}, {"e": ("0", "1"), "f": ("1", "2"), "g": ("2", "1")})
+    return PresentedComplex(g, {
+        g.route("0", ["e"]), g.route("0", ["e", "f"], {1}),
+        g.route("1", ["f"], {1}), g.route("2", ["g"]),
+    })
+
+
 def build_corpus() -> dict:
     return {
         "interval-c": interval_c(),
@@ -47,6 +62,7 @@ def build_corpus() -> dict:
         "circle-3": circle_n_stop(3),
         "rigid-2": rigid_line(2),
         "diagonal-square": diagonal_square(),
+        "shared-last-edge": shared_last_edge(),
     }
 
 

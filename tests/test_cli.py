@@ -84,6 +84,26 @@ class TestCategoryCommands:
         assert code == 2
         assert "zzz" in text
 
+    def test_hom_builds_one_category(self, tmp_path, monkeypatch):
+        from cspace import line_c, product
+        from cspace.documents import save_complex
+        from cspace.pi1 import _LabelStore
+
+        path = str(tmp_path / "square.ctop")
+        save_complex(product(line_c(3), line_c(3)), path)
+        calls = []
+        category = _LabelStore.category
+
+        def counted(*args):
+            calls.append(args)
+            return category(*args)
+
+        monkeypatch.setattr(_LabelStore, "category", counted)
+        code, text = run_command(["hom", path, '["0","0"]', '["1","1"]', "--bound", "6"])
+        assert code == 0
+        assert text.splitlines() == ["classes: 1; truncated: yes", "[(L,e0,0),(R,1,e0)]"]
+        assert len(calls) == 1
+
     def test_monoid_and_hom_render_a_vertex_that_is_not_an_object_alike(self, tmp_path):
         path = str(tmp_path / "md.ctop")
         run_command(["new", "interval-middle-delay", "-o", path])

@@ -6,12 +6,13 @@ these tests cover additional algebraic laws at a faster setting.
 from __future__ import annotations
 
 import functools
+import importlib
 import random
 
 import pytest
 from hypothesis import given
 
-from conftest import build_corpus
+from conftest import build_corpus, shared_last_edge
 from oracles import _sub_routes, brute_membership, brute_pi1_components, brute_route_table
 from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
@@ -449,6 +450,19 @@ class TestLiteralMembership:
             _assert_literal_membership(X, 2, kind)
 
 
+class TestGeneratorsSharingALastEdge:
+    """The presented DP tries, at each prefix, the generators ending in its
+    last edge; several may, with different lengths and dwell needs."""
+
+    def test_membership_and_antichains_match_the_literal_definition(self):
+        X = shared_last_edge()
+        assert [g for _, g, _ in X._ending["f"]] == [("e", "f"), ("f",)]
+        assert X._accepts("0", ("e", "f"), "2", 0b100, {})
+        assert not X._accepts("0", ("e", "f"), "2", 0b001, {})
+        assert X._minimal_dwells("0", ("e", "f"), "2") == {0b010, 0b100}
+        _assert_literal_membership(X, 4, "shared-last-edge")
+
+
 class TestFlexibleRoutes:
     def test_every_kind_on_the_corpus_matches_the_literal_definition(self):
         """A route is flexible iff the literal membership controls every
@@ -655,3 +669,63 @@ class TestLabelStore:
     @given(presented_complexes(max_vertices=4, max_edges=6, max_cells=3, max_cell_side=3))
     def test_larger_complexes_match_the_scan_whatever_the_order_of_bounds(self, X):
         _assert_every_order_matches_the_scan(lambda: _every_kind(X), range(6))
+
+
+def _assert_asked_first(cat, first, want, where):
+    """Ask ``cat`` first for the class of every label, the hom of every
+    pair of objects, or the arrow list; then every answer must be the
+    scan's, and each class one object however it is reached."""
+    if first == "labels":
+        for a in want.arrows:
+            for start, word in a.labels:
+                cat.class_of_label(start, word)
+    elif first == "homs":
+        for x in cat.objects:
+            for y in cat.objects:
+                cat.hom(x, y)
+    else:
+        cat.arrows
+    _assert_same_category(cat, want, where)
+    assert cat.is_preorder() == want.is_preorder(), where
+    assert cat.arrow_count == want.arrow_count, where
+    for x in cat.objects:
+        for y in cat.objects:
+            assert cat.hom(x, y) == want.hom(x, y), where
+    for a in cat.arrows:
+        assert any(b is a for b in cat.hom(a.source, a.target)), where
+        for start, word in a.labels:
+            assert cat.class_of_label(start, word) is a, where
+
+
+class TestLazyCategory:
+    """A category from pi1 builds a hom's classes when they are asked for;
+    whatever is asked first, the answers are the scan's, and a class is
+    one object however it is reached."""
+
+    def test_every_order_of_asking_matches_the_scan(self):
+        """At bound 4, and at bound 2 over the store that bound 4 built."""
+        for name, C in build_corpus().items():
+            for kind, X in _every_kind(C).items():
+                for bound in (4, 2):
+                    want = _scan_pi1(X, bound)
+                    for first in ("labels", "homs", "arrows"):
+                        _assert_asked_first(pi1(X, bound), first, want,
+                                            (name, kind, bound, first))
+
+    def test_a_hom_builds_only_its_own_classes(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return ArrowClass(*args)
+
+        cat = pi1(exponential_cover(3, 12).total, 9)
+        monkeypatch.setattr(importlib.import_module("cspace.pi1"), "ArrowClass", counted)
+        assert cat.is_preorder()
+        assert cat.arrow_count == len(_scan_pi1(exponential_cover(3, 12).total, 9).arrows)
+        assert built == []
+        hom = cat.hom("0", "3")
+        assert len(hom) == 1 and len(built) == 1
+        assert cat.hom("0", "3") is hom
+        assert cat.class_of_label("0", ("e0", "e1", "e2")) is hom[0]
+        assert len(built) == 1
