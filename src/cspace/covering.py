@@ -23,9 +23,10 @@ from .core import (
     Route,
     StructureError,
     VertexId,
-    _decorate,
+    Word,
     _dwell_masks,
     _dwell_width,
+    _positions,
     _satisfies,
     _upset_size,
     check_bound,
@@ -54,8 +55,9 @@ class CoveringMap:
 
     ``excluded`` lists total-space vertices (window boundaries) exempt
     from the star condition.  Construction checks the maps are total and
-    commute with endpoints; the covering conditions themselves are
-    checked by ``validate_covering``.
+    commute with endpoints, and indexes the total edges at each vertex
+    over each base edge and each fibre in ``idkey`` order; the covering
+    conditions themselves are checked by ``validate_covering``.
     """
 
     total: ControlledComplex
@@ -69,28 +71,34 @@ class CoveringMap:
         object.__setattr__(self, "emap", dict(self.emap))
         object.__setattr__(self, "excluded", frozenset(self.excluded))
         tg, bg = self.total.graph, self.base.graph
-        for v in tg.vertices:
+        fibres: dict[VertexId, tuple[VertexId, ...]] = {}
+        for v in sorted(tg.vertices, key=idkey):
             if v not in self.vmap:
                 raise StructureError(f"vmap misses vertex {render_id(v)}")
             if self.vmap[v] not in bg.vertices:
                 raise StructureError(f"vmap sends {render_id(v)} outside the base")
+            fibres[self.vmap[v]] = fibres.get(self.vmap[v], ()) + (v,)
+        # (total vertex, base edge) -> the total edges out of it over that edge
+        over: dict[tuple[VertexId, EdgeId], tuple[EdgeId, ...]] = {}
         for e in tg.edge_ids:
             if e not in self.emap:
                 raise StructureError(f"emap misses edge {render_id(e)}")
             img = self.emap[e]
             if not bg.has_edge(img):
                 raise StructureError(f"emap sends {render_id(e)} outside the base")
-            if self.vmap[tg.src(e)] != bg.src(img) or self.vmap[tg.dst(e)] != bg.dst(img):
+            src = tg.src(e)
+            if self.vmap[src] != bg.src(img) or self.vmap[tg.dst(e)] != bg.dst(img):
                 raise StructureError(
                     f"emap does not commute with endpoints at {render_id(e)}"
                 )
+            over[src, img] = over.get((src, img), ()) + (e,)
         if not self.excluded <= tg.vertices:
             raise StructureError("excluded set mentions unknown vertices")
+        object.__setattr__(self, "_fibres", fibres)
+        object.__setattr__(self, "_over", over)
 
     def fibre(self, y: VertexId) -> tuple[VertexId, ...]:
-        return tuple(
-            sorted((x for x in self.total.graph.vertices if self.vmap[x] == y), key=idkey)
-        )
+        return self._fibres.get(y, ())
 
     def project(self, r: Route) -> Route:
         """Image of a total route downstairs; dwells carry over verbatim."""
@@ -129,42 +137,31 @@ def exponential_cover(n: int, window: int) -> CoveringMap:
     return CoveringMap(total, base, vmap, emap, frozenset({str(-window), str(window)}))
 
 
-class _LiftRunsOff(Exception):
-    def __init__(self, vertex: VertexId, edge: EdgeId) -> None:
-        self.vertex = vertex
-        self.edge = edge
-        super().__init__(vertex, edge)
-
-
-def _lift_edges(p: CoveringMap, b: Route, x0: VertexId) -> Route:
-    tg = p.total.graph
+def _lift(p: CoveringMap, x0: VertexId, word: Word) -> tuple[Word, VertexId, int]:
+    """Lift a base word from x0 through the map's index: the lifted edges,
+    the vertex reached, and 1 when the lift goes through.  Otherwise the
+    lift stopped at that vertex before ``word[len(edges)]``, and the count
+    is how many total edges lie over that base edge there: 0 when the lift
+    runs off, more when it is not unique."""
+    over, dst = p._over, p.total.graph.dst
     x = x0
     edges: list[EdgeId] = []
-    for f in b.edges:
-        matches = [e for e in tg.out_edges(x) if p.emap[e] == f]
-        if not matches:
-            raise _LiftRunsOff(x, f)
-        if len(matches) > 1:
-            raise StructureError(
-                f"lift is not unique at {render_id(x)}: "
-                f"{len(matches)} edges over {render_id(f)}"
-            )
-        edges.append(matches[0])
-        x = tg.dst(matches[0])
-    return Route(x0, x, tuple(edges), b.dwells)
+    for f in word:
+        above = over.get((x, f), ())
+        if len(above) != 1:
+            return tuple(edges), x, len(above)
+        edges.append(above[0])
+        x = dst(above[0])
+    return tuple(edges), x, 1
 
 
-def _lift_or_witness(p: CoveringMap, b: Route, x0: VertexId) -> Route | str | None:
-    """The lift of b from x0, None when it runs off through an excluded
-    vertex, or the witness text when lifting fails."""
-    try:
-        return _lift_edges(p, b, x0)
-    except _LiftRunsOff as stop:
-        if stop.vertex in p.excluded:
-            return None
-        return f"no edge over {render_id(stop.edge)} at {render_id(stop.vertex)}"
-    except StructureError as err:
-        return str(err)
+def _stuck(p: CoveringMap, x: VertexId, count: int, f: EdgeId) -> str:
+    """Why a lift stopped at x before the base edge f, with ``count``
+    total edges over f there."""
+    if count:
+        return f"lift is not unique at {render_id(x)}: {count} edges over {render_id(f)}"
+    where = "window boundary " if x in p.excluded else ""
+    return f"lift runs off at {where}{render_id(x)}: no edge over {render_id(f)}"
 
 
 def lift_route(p: CoveringMap, b: Route, x0: VertexId) -> Route:
@@ -177,14 +174,10 @@ def lift_route(p: CoveringMap, b: Route, x0: VertexId) -> Route:
             f"{render_id(x0)} lies over {render_id(p.vmap[x0])}, "
             f"but the route starts at {render_id(b.start)}"
         )
-    try:
-        return _lift_edges(p, b, x0)
-    except _LiftRunsOff as stop:
-        where = "window boundary " if stop.vertex in p.excluded else ""
-        raise StructureError(
-            f"lift runs off at {where}{render_id(stop.vertex)}: "
-            f"no edge over {render_id(stop.edge)}"
-        ) from None
+    edges, x, count = _lift(p, x0, b.edges)
+    if count != 1:
+        raise StructureError(_stuck(p, x, count, b.edges[len(edges)]))
+    return Route(x0, x, edges, b.dwells)
 
 
 @dataclass(frozen=True)
@@ -212,26 +205,27 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     an excluded vertex are skipped, not failed.
 
     Lifting ignores dwells and membership is monotone in them, so each
-    dwell-free base word is lifted once per fibre point, and its lift is
-    asked only at the base word's minimal dwell sets; the counts still
-    add one per controlled decoration and fibre point.  A word whose
-    lifts fail is replayed decoration by decoration, so the witnesses are
-    listed in route enumeration order.
+    dwell-free base word is lifted once per fibre point, as an edge word,
+    and its lift is asked only at the base word's minimal dwell sets; the
+    counts still add one per controlled decoration and fibre point.  A
+    word whose lifts fail is replayed decoration by decoration, so the
+    witnesses are listed in route enumeration order; only the routes
+    named in a witness are built.
     """
     check_bound(bound)
     tg, bg = p.total.graph, p.base.graph
     witnesses: list[str] = []
 
+    # the maps commute with endpoints, so every image of an edge at x is an
+    # edge at vmap[x]: the star bijects iff its images are distinct and as
+    # many as theirs
     star_ok = True
     for x in sorted(tg.vertices - p.excluded, key=idkey):
         for mine, theirs, side in (
             (tg.out_edges(x), bg.out_edges(p.vmap[x]), "out"),
             (tg.in_edges(x), bg.in_edges(p.vmap[x]), "in"),
         ):
-            images = [p.emap[e] for e in mine]
-            if len(set(images)) != len(images) or sorted(
-                images, key=idkey
-            ) != sorted(theirs, key=idkey):
+            if not len({p.emap[e] for e in mine}) == len(mine) == len(theirs):
                 star_ok = False
                 witnesses.append(
                     f"star not bijective at {render_id(x)} ({side}-edges)"
@@ -246,38 +240,43 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     lift_ok = True
     checked = 0
     skipped = 0
-    total, memo = p.total, {}
-    fibres = {y: p.fibre(y) for y in bg.vertices}
+    total, excluded, memo = p.total, p.excluded, {}
     for start, word, end in enumerate_words(bg, bound):
         needs = p.base._minimal_dwells(start, word, end)
         if not needs:
             continue
-        b = Route(start, end, word)
-        lifts = [_lift_or_witness(p, b, x0) for x0 in fibres[start]]
-        if not any(isinstance(lift, str) for lift in lifts) and all(
-            total._accepts(lift.start, lift.edges, lift.end, need, memo)
-            for lift in lifts if lift is not None for need in needs
+        lifts = [(x0, *_lift(p, x0, word)) for x0 in p.fibre(start)]
+        whole = [(x0, edges, x) for x0, edges, x, count in lifts if count == 1]
+        off = sum(count == 0 and x in excluded for _, _, x, count in lifts)
+        if len(whole) + off == len(lifts) and all(
+            total._accepts(x0, edges, x, need, memo)
+            for x0, edges, x in whole for need in needs
         ):
             decorations = _upset_size(needs, _dwell_width(len(word)))
-            skipped += decorations * lifts.count(None)
-            checked += decorations * (len(lifts) - lifts.count(None))
+            skipped += decorations * off
+            checked += decorations * len(whole)
             continue
         lift_ok = False
         for mask in _dwell_masks(len(word)):
             if not _satisfies(mask, needs):
                 continue
-            for lift in lifts:
-                if lift is None:
-                    skipped += 1
-                elif isinstance(lift, str):
-                    witnesses.append(lift)
-                else:
+            for x0, edges, x, count in lifts:
+                if count == 1:
                     checked += 1
-                    if not total._accepts(lift.start, lift.edges, lift.end, mask, memo):
+                    if not total._accepts(x0, edges, x, mask, memo):
+                        dwells = _positions(mask)
                         witnesses.append(
-                            f"lift {_decorate(lift, mask)} of {_decorate(b, mask)} "
-                            "is not controlled"
+                            f"lift {Route(x0, x, edges, dwells)} of "
+                            f"{Route(start, end, word, dwells)} is not controlled"
                         )
+                elif count > 1:
+                    witnesses.append(_stuck(p, x, count, word[len(edges)]))
+                elif x in excluded:
+                    skipped += 1
+                else:
+                    witnesses.append(
+                        f"no edge over {render_id(word[len(edges)])} at {render_id(x)}"
+                    )
     valid = star_ok and lift_ok and flexible_ok
     return CoveringReport(
         valid, star_ok, lift_ok, flexible_ok, bound, p.excluded,
@@ -325,25 +324,25 @@ def check_lifting_bijection(
 
     base_hom = cat_base.hom(p.vmap[x0], y)
     for c in base_hom:
-        try:
-            lift = lift_route(p, c.rep, x0)
-        except StructureError as err:
+        word = c.rep.edges
+        edges, x, count = _lift(p, x0, word)
+        if count != 1:
             ok = False
-            witnesses.append(f"cannot lift {c.rep}: {err}")
+            witnesses.append(f"cannot lift {c.rep}: {_stuck(p, x, count, word[len(edges)])}")
             continue
-        t = cat_total.class_of(lift)
+        t = cat_total.class_of_label(x0, edges)
         if t is None:
             ok = False
-            witnesses.append(f"lift {lift} is not realizable upstairs")
+            witnesses.append(f"lift {Route(x0, x, edges)} is not realizable upstairs")
             continue
-        key = (lift.end, t.index)
+        key = (x, t.index)
         if key in hit:
             ok = False
             witnesses.append(
                 f"classes of {hit[key]} and {c.rep} lift to one class upstairs"
             )
         hit[key] = c.rep
-        pairs.append((c.rep, lift.end, t.rep))
+        pairs.append((c.rep, x, t.rep))
 
     total_count = 0
     for x in fibre:

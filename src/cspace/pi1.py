@@ -115,11 +115,11 @@ class FundamentalCategory:
     Labels are numbered, and each label within the bound names its class
     by a root, one member of that class.  Label i lies in block
     ``keys[i] // width``, one block per (source, target) pair, so a hom's
-    classes are the roots in its block, and ``is_preorder`` reads the
-    roots alone.  ``pi1`` returns a view over the complex's label store
-    that builds a hom's ``ArrowClass`` objects when the hom, one of its
-    labels or the arrow list is first asked for, and hands the same
-    objects back on every later ask.  Built from explicit arrows, a
+    classes are the roots in its block.  ``pi1`` returns a view over the
+    complex's label store that builds a hom's ``ArrowClass`` objects when
+    the hom, one of its labels or the arrow list is first asked for, and
+    hands the same objects back on every later ask; the store tells it
+    whether some block holds two roots.  Built from explicit arrows, a
     category fills all of that up front: each arrow is its own root,
     numbered by its place in ``arrows``, and every hom is built.
     """
@@ -135,14 +135,11 @@ class FundamentalCategory:
         homs: dict[tuple[VertexId, VertexId], list[ArrowClass]] = {}
         for a in arrows:
             homs.setdefault((a.source, a.target), []).append(a)
-        blocks = {pair: k for k, pair in enumerate(homs)}
         self._objects = tuple(sorted(objects, key=idkey))
         self._bound = bound
         self._possibly_incomplete = possibly_incomplete
         self._index = {lab: k for k, a in enumerate(arrows) for lab in a.labels}
         self._roots: Sequence[int] = range(len(arrows))
-        self._keys: Sequence[int] = [blocks[a.source, a.target] for a in arrows]
-        self._width = 1
         # no store: every hom is built, so none is left to look up
         self._store: _LabelStore | None = None
         self._ordinals: Sequence[int] = ()
@@ -150,13 +147,15 @@ class FundamentalCategory:
         self._homs = {pair: tuple(v) for pair, v in homs.items()}
         self._arrows: tuple[ArrowClass, ...] | None = arrows
         self._arrow_count = len(arrows)
+        self._preorder = all(len(v) < 2 for v in homs.values())
 
     @classmethod
     def _view(
-        cls, store: _LabelStore, bound: int, roots: array, ordinals: array
+        cls, store: _LabelStore, bound: int, roots: array, ordinals: array, preorder: bool
     ) -> FundamentalCategory:
         """The category at ``bound`` over ``store``, whose classes at that
-        bound are ``roots`` and whose arrow indices are ``ordinals``."""
+        bound are ``roots``, whose arrow indices are ``ordinals``, and
+        ``preorder`` when no block holds two roots."""
         cat = cls.__new__(cls)
         cat._objects = store.objects
         cat._bound = bound
@@ -171,6 +170,7 @@ class FundamentalCategory:
         cat._homs = {}
         cat._arrows = None
         cat._arrow_count = ordinals[-1]
+        cat._preorder = preorder
         return cat
 
     @property
@@ -236,11 +236,8 @@ class FundamentalCategory:
         return out
 
     def is_preorder(self) -> bool:
-        """Whether every hom has at most one class: no block holds two
-        roots.  Builds no class."""
-        keys, width = self._keys, self._width
-        blocks = [keys[i] // width for i, root in enumerate(self._roots) if root == i]
-        return len(blocks) == len(set(blocks))
+        """Whether every hom has at most one class.  Builds no class."""
+        return self._preorder
 
     def _class(self, root: int) -> ArrowClass:
         """The class whose root is ``root``, building its hom on first ask."""
@@ -317,18 +314,20 @@ class _LabelStore:
     ``cuts[b]`` pairs.  ``roots[b]`` gives each label of length <= b its
     class's least index, and -1 to longer labels; ``ordinals[b][i]``
     counts the roots below index i, so a root's arrow index is its
-    ordinal and the arrow count is the last entry.  ``longest`` is the
-    support graph's longest path (infinite when cyclic).
+    ordinal and the arrow count is the last entry; ``preorder[b]`` says
+    whether no block holds two roots.  ``longest`` is the support graph's
+    longest path (infinite when cyclic).
     """
 
     __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
-                 "edges", "cuts", "roots", "ordinals", "longest")
+                 "edges", "cuts", "roots", "ordinals", "preorder", "longest")
 
     def __init__(self, X: ControlledComplex, bound: int, longest: float) -> None:
         self.bound = bound
         self.longest = longest
         self.roots: dict[int, array] = {}
         self.ordinals: dict[int, array] = {}
+        self.preorder: dict[int, bool] = {}
         self.objects = tuple(sorted(X.flexible, key=idkey))
         self.vertices = tuple(sorted(X.graph.vertices, key=idkey))
         rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
@@ -380,14 +379,15 @@ class _LabelStore:
             cuts.append(len(edges) // 2)
         return edges, cuts
 
-    def _roots_at(self, bound: int) -> tuple[array, array]:
+    def _roots_at(self, bound: int) -> tuple[array, array, bool]:
         """Union-find over the moves within the bound; a union points the
         larger root at the smaller, so every parent index is at most its
-        child's and one forward pass flattens the forest and counts the
-        roots."""
+        child's and one forward pass flattens the forest, counts the roots
+        and, since the labels run block by block, finds whether one block
+        holds two of them."""
         got = self.roots.get(bound)
         if got is not None:
-            return got, self.ordinals[bound]
+            return got, self.ordinals[bound], self.preorder[bound]
         parent = list(range(len(self.labels)))
         edges = self.edges
         for t in range(0, 2 * self.cuts[bound], 2):
@@ -402,15 +402,22 @@ class _LabelStore:
                 parent[a] = b
         ordinals = array("i", [0])
         count = 0
+        keys, width = self.keys, self.bound + 1
+        block, preorder = -1, True
         for i, (_, word) in enumerate(self.labels):
             # labels past the bound have no move within it, so no label's
             # parent is one of them
             parent[i] = parent[parent[i]] if len(word) <= bound else -1
-            count += parent[i] == i
+            if parent[i] == i:
+                count += 1
+                here = keys[i] // width
+                preorder = preorder and here != block
+                block = here
             ordinals.append(count)
         got = self.roots[bound] = array("i", parent)
         self.ordinals[bound] = ordinals
-        return got, ordinals
+        self.preorder[bound] = preorder
+        return got, ordinals, preorder
 
     def category(self, bound: int) -> FundamentalCategory:
         """The view at ``bound``; builds no arrow class."""
@@ -650,14 +657,13 @@ def check_product_preservation(
             (lx, lw), (ry, rw) = project(lab)
             ca = cat_x.class_of_label(lx, lw)
             cb = cat_y.class_of_label(ry, rw)
-            if ca is None or cb is None:
-                homs_ok = False
-                mismatches.append(f"projection of {a} leaves the factor category")
-                break
-            pairs.add((ca.index, cb.index))
-        if len(pairs) != 1:
+            pairs.add(None if ca is None or cb is None else (ca.index, cb.index))
+        if None in pairs or len(pairs) != 1:
             homs_ok = False
-            mismatches.append(f"projections of {a} disagree across its labels")
+            mismatches.append(
+                f"projection of {a} leaves the factor category" if None in pairs
+                else f"projections of {a} disagree across its labels"
+            )
             continue
         image[a.index] = next(iter(pairs))
 
@@ -720,14 +726,13 @@ def check_sum_preservation(
             plain = tuple(e for _, e in word)
             cat = cat_x if tag == "L" else cat_y
             c = cat.class_of_label(x, plain)
-            if c is None:
-                homs_ok = False
-                mismatches.append(f"untagging of {a} leaves the factor category")
-                break
-            targets.add((tag, c.index))
-        if len(targets) != 1:
+            targets.add(None if c is None else (tag, c.index))
+        if None in targets or len(targets) != 1:
             homs_ok = False
-            mismatches.append(f"untaggings of {a} disagree across its labels")
+            mismatches.append(
+                f"untagging of {a} leaves the factor category" if None in targets
+                else f"untaggings of {a} disagree across its labels"
+            )
             continue
         image[a.index] = next(iter(targets))
 

@@ -168,6 +168,12 @@ class TestCheck:
                 "flexible: no\nwitness: " + where
                 + "generator (0;[e];{0}) has an uncontrolled restriction"))
 
+    def test_total_support_lists_the_unsupported_edges(self, tmp_path):
+        path = str(tmp_path / "diag.ctop")
+        run_command(["new", "diagonal-square", "-o", path])
+        assert run_command(["check", path, "total-support"]) == (1, (
+            "total-support: no\nwitness: unsupported edges: s1,s2,s3,s4"))
+
     def test_missing_bound_is_a_usage_error(self, ci_file):
         code, text = run_command(["check", ci_file, "preflexible"])
         assert code == 2
@@ -182,6 +188,23 @@ class TestConstructions:
         assert code == 0
         assert "flexible space: yes" in text
         assert "arrows: 9" in text
+
+    def test_report_on_a_presented_complex_that_is_not_flexible(self, tmp_path):
+        path = str(tmp_path / "dm.ctop")
+        run_command(["new", "interval-delayed-minus", "-o", path])
+        code, text = run_command(["report", path, "--bound", "3"])
+        assert code == 0
+        assert text.splitlines() == [
+            "complex: generator-backed: 2 vertices, 1 edges, 0 cells",
+            "flexible vertices: 0,1",
+            "path support: total",
+            "flexible space: no",
+            "border flexible: no",
+            "preflexible (bound 3): no",
+            "  witness: (0;[e];{})",
+            "one-simple (bound 3): yes",
+            "pi1 (bound 3): objects: 0,1; arrows: 3; preorder: yes; truncated: no",
+        ]
 
     def test_restrict_and_hom(self, tmp_path):
         path = str(tmp_path / "cj.ctop")

@@ -2,10 +2,13 @@
 product, and comparison computations."""
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from oracles import brute_pi1_components
 from cspace import (
+    FundamentalCategory,
     Graph,
     PresentedComplex,
     Route,
@@ -223,6 +226,34 @@ class TestSumPreservation:
     def test_sum_category_size_adds_up(self, ci, cj):
         cat = pi1(sum_complex(ci, cj), 3)
         assert cat.arrow_count == 9
+
+
+class TestClassesLeavingAFactorCategory:
+    """A class with a label outside the factor category is reported once,
+    as leaving it, whichever of its labels is read first."""
+
+    @pytest.fixture()
+    def empty_j(self, monkeypatch):
+        Y = interval_j()
+        module = importlib.import_module("cspace.pi1")
+        real = module.pi1
+        monkeypatch.setattr(module, "pi1", lambda X, b: (
+            FundamentalCategory(Y.flexible, [], b, False) if X is Y else real(X, b)))
+        return Y
+
+    def test_product_preservation(self, ci, empty_j):
+        report = check_product_preservation(ci, empty_j, 3)
+        assert not report.homs_bijective
+        assert report.product_arrows == len(report.mismatches) == 18
+        assert all(m.startswith("projection of [") and m.endswith(
+            "] leaves the factor category") for m in report.mismatches)
+
+    def test_sum_preservation(self, ci, empty_j):
+        report = check_sum_preservation(ci, empty_j, 3)
+        assert not report.homs_bijective
+        assert len(report.mismatches) == 6
+        assert all(m.startswith("untagging of [((R,") and m.endswith(
+            "] leaves the factor category") for m in report.mismatches)
 
 
 class TestSymmetrizedCategories:

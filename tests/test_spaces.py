@@ -9,6 +9,7 @@ from cspace import (
     ProductComplex,
     QuotientSpec,
     Route,
+    SquareCell,
     StructureError,
     circle_n_stop,
     discrete,
@@ -208,6 +209,15 @@ class TestQuotient:
         assert oracle_equivalent(
             Q, interval_delayed_minus(), 3, {"0": "0", "2": "1"}, {"e1": "e"}
         )
+
+    def test_cells_map_through_unless_their_image_is_degenerate(self):
+        S = symmetrize(interval_c())
+        both = quotient(S, QuotientSpec(blocks=[["0", "1"]], collapse=["e", "e~"]))
+        assert both.cells == ()
+        assert both.generators == {Route.constant("0")}
+        one = quotient(S, QuotientSpec(blocks=[["0", "1"]], collapse=["e"]))
+        assert one.cells == (SquareCell(Route("0", "0", ("e~",)), Route.constant("0")),)
+        assert one.generators == {Route("0", "0", ("e~",)), Route.constant("0")}
 
     def test_blocks_must_cover_collapsed_edges(self):
         X = rigid_line(2)
