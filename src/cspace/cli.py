@@ -184,15 +184,16 @@ def _pi1_machine(cat) -> str:
     return "\n".join(lines)
 
 
+def _std_params() -> list[str]:
+    """The standard spaces' parameter names, in ``STANDARD_KINDS`` order."""
+    return list(dict.fromkeys(n for _, names in STANDARD_KINDS.values() for n in names))
+
+
 def _cmd_new(args) -> tuple[int, str]:
     if args.kind == "diagonal-square":
         X = diagonal_square()
     else:
-        params = {}
-        for name in ("window", "stops", "points", "length"):
-            value = getattr(args, name)
-            if value is not None:
-                params[name] = value
+        params = {n: v for n in _std_params() if (v := getattr(args, n)) is not None}
         X = std_space(args.kind, **params)
     return 0, _emit(X, args.output)
 
@@ -405,10 +406,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("new", help="write a standard space document")
     p.add_argument("kind", choices=sorted(STANDARD_KINDS) + ["diagonal-square"])
-    p.add_argument("--window", type=int)
-    p.add_argument("--stops", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--length", type=int)
+    for name in _std_params():
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_new)
 

@@ -556,9 +556,10 @@ def _part_witness(*named: tuple[str, ControlledComplex]) -> str | None:
 def _generator_witness(X: ControlledComplex) -> str | None:
     """The first generator, in route order, with an uncontrolled
     restriction.  Generators suffice: flexibility is closed under
-    concatenation and dwell insertion."""
+    concatenation and dwell insertion.  One memo serves the search."""
+    memo: dict = {}
     for g in sorted(X.generators, key=Route.sort_key):
-        if not is_flexible_route(X, g):
+        if not _flexible_in(X, g.start, g.edges, g.end, _mask(g.dwells), memo):
             return f"generator {g} has an uncontrolled restriction"
     return None
 
@@ -665,18 +666,39 @@ class PresentedComplex(ControlledComplex):
 # flexibility
 
 
+def _flexible_in(X: ControlledComplex, start: VertexId, word: Word, end: VertexId,
+                 dwells: int, memo: dict) -> bool:
+    """Whether every restriction of the graph-valid word is controlled in
+    X, kept in ``memo`` under ``("flexible", X, start, word, dwells)``; a
+    constant is X's own answer, kept by ``_accepts_in``.  A restriction
+    keeps only the dwells strictly inside its span, and every restriction
+    but the whole span restricts the word without its last or its first
+    edge: each word adds one query to X.  The shorter words are asked
+    with both boundary dwells set, so a maximal decoration meets its own
+    memo entries."""
+    n = len(word)
+    if not n:
+        return _accepts_in(X, start, word, end, 0, memo)
+    key = ("flexible", X, start, word, dwells)
+    hit = memo.get(key)
+    if hit is None:
+        low = (1 << (n - 1)) - 1  # positions 0..n-2
+        edge = (1 | 1 << (n - 1)) if n > 1 else 0  # a shorter word's boundary
+        g = X.graph
+        hit = memo[key] = (
+            _flexible_in(X, start, word[:-1], g.src(word[-1]), (dwells & low) | edge, memo)
+            and _flexible_in(X, g.dst(word[0]), word[1:], end,
+                             (dwells >> 1 & low) | edge, memo)
+            and X._accepts(start, word, end, dwells & low << 1, memo)
+        )
+    return hit
+
+
 def is_flexible_route(X: ControlledComplex, r: Route) -> bool:
-    """True iff every restriction of r is controlled in X.  Each span p..q
-    is asked of ``_accepts`` once, with one memo, on the dwells strictly
-    inside it re-indexed from p, as ``Graph.restrict`` keeps them."""
+    """True iff every restriction of r, keeping the dwells strictly inside
+    its span, is controlled in X: ``_flexible_in`` with a fresh memo."""
     X.graph.validate_route(r)
-    chain = X.graph.visited(r)
-    mask, n, memo = _mask(r.dwells), len(r.edges), {}
-    return all(
-        X._accepts(chain[p], r.edges[p:q], chain[q],
-                   mask >> p & (1 << q - p) - 2 if q > p else 0, memo)
-        for p in range(n + 1) for q in range(p, n + 1)
-    )
+    return _flexible_in(X, r.start, r.edges, r.end, _mask(r.dwells), {})
 
 
 def is_flexible_space(X: ControlledComplex) -> bool:
@@ -816,8 +838,9 @@ def reflect_dhat(X: ControlledComplex) -> PresentedComplex:
 class FlexiblePart(ControlledComplex):
     """Flexible part of a complex: flexible vertices, flexible routes.
 
-    Generic over any oracle.  The result is a d-space (flexibility is
-    closed under restriction, concatenation and dwell insertion).
+    Generic over any oracle: ``_flexible_in`` on the base decides its
+    routes.  The result is a d-space (flexibility is closed under
+    restriction, concatenation and dwell insertion).
     """
 
     tag = "reflected"
@@ -841,25 +864,7 @@ class FlexiblePart(ControlledComplex):
 
     def _accepts(self, start: VertexId, word: Word, end: VertexId, dwells: int,
                  memo: dict) -> bool:
-        """A route is flexible iff every restriction is controlled in the
-        base.  A restriction keeps only the dwells inside its span, so the
-        route's own boundary dwells never count, and every restriction but
-        the whole span restricts the word without its last or its first
-        edge: each word adds one base query.  The shorter words are asked
-        with both boundary dwells set, so a maximal decoration meets its
-        own memo entries."""
-        n = len(word)
-        if not n:
-            return self.base._accepts(start, word, end, 0, memo)
-        low = (1 << (n - 1)) - 1  # positions 0..n-2
-        edge = (1 | 1 << (n - 1)) if n > 1 else 0  # a shorter word's boundary
-        return (
-            _accepts_in(self, start, word[:-1], self._graph.src(word[-1]),
-                        (dwells & low) | edge, memo)
-            and _accepts_in(self, self._graph.dst(word[0]), word[1:], end,
-                            (dwells >> 1 & low) | edge, memo)
-            and self.base._accepts(start, word, end, dwells & low << 1, memo)
-        )
+        return _flexible_in(self.base, start, word, end, dwells, memo)
 
     def recipe(self) -> Recipe:
         return ("fl", (self.base,), None)

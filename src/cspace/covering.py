@@ -54,10 +54,11 @@ class CoveringMap:
     """Vertex and edge maps from a total complex onto a base complex.
 
     ``excluded`` lists total-space vertices (window boundaries) exempt
-    from the star condition.  Construction checks the maps are total and
-    commute with endpoints, and indexes the total edges at each vertex
-    over each base edge and each fibre in ``idkey`` order; the covering
-    conditions themselves are checked by ``validate_covering``.
+    from the star condition.  Construction checks the maps are total,
+    have no key outside the total space and commute with endpoints, and
+    indexes the total edges at each vertex over each base edge and each
+    fibre in ``idkey`` order; the covering conditions themselves are
+    checked by ``validate_covering``.
     """
 
     total: ControlledComplex
@@ -92,6 +93,10 @@ class CoveringMap:
                     f"emap does not commute with endpoints at {render_id(e)}"
                 )
             over[src, img] = over.get((src, img), ()) + (e,)
+        for name, keys, ids, noun in (("vmap", self.vmap, tg.vertices, "vertex"),
+                                      ("emap", self.emap, tg.edge_ids, "edge")):
+            if stray := sorted(keys.keys() - ids, key=idkey):
+                raise StructureError(f"{name} key {render_id(stray[0])} is not a total {noun}")
         if not self.excluded <= tg.vertices:
             raise StructureError("excluded set mentions unknown vertices")
         object.__setattr__(self, "_fibres", fibres)

@@ -39,10 +39,11 @@ longest path, so the flag at any bound is one comparison.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -495,8 +496,8 @@ def is_one_simple(X: ControlledComplex, bound: int) -> bool:
 def _arrow_map(
     src: FundamentalCategory, dst: FundamentalCategory
 ) -> tuple[dict[int, int], bool]:
-    """Map classes along the identity on labels; flag well-definedness
-    plus functoriality (identities and in-bound composites)."""
+    """Map classes along the identity on labels; flag well-definedness plus
+    functoriality (the label pass maps each identity by its constant)."""
     amap: dict[int, int] = {}
     ok = True
     for a in src.arrows:
@@ -507,11 +508,6 @@ def _arrow_map(
         if len(indices) != 1:
             ok = False
         amap[a.index] = min(indices)
-    for x in src.objects:
-        if dst.class_of_label(x, ()) is None:
-            return amap, False
-        if amap[src.identity(x).index] != dst.identity(x).index:
-            ok = False
     for a in src.arrows:
         for b in src.arrows:
             if a.target != b.source:
@@ -529,13 +525,12 @@ def _hom_image_check(
     src: FundamentalCategory,
     dst: FundamentalCategory,
     amap: Mapping[int, int],
-    pairs: Iterable[tuple[VertexId, VertexId]],
 ) -> tuple[bool, bool, tuple[tuple[VertexId, VertexId, Route], ...]]:
-    """Fullness and faithfulness of the mapped functor over given object pairs."""
+    """Fullness and faithfulness of the mapped functor on the source's objects."""
     full = True
     faithful = True
     missing: list[tuple[VertexId, VertexId, Route]] = []
-    for x, y in pairs:
+    for x, y in itertools.product(src.objects, repeat=2):
         images = [amap[a.index] for a in src.hom(x, y)]
         if len(set(images)) != len(images):
             faithful = False
@@ -570,8 +565,7 @@ def induced_comparisons(X: ControlledComplex, bound: int) -> ComparisonFunctors:
     cat_dh = pi1(reflect_dhat(X), bound)
     first_map, first_ok = _arrow_map(cat_fl, cat_x)
     second_map, second_ok = _arrow_map(cat_x, cat_dh)
-    pairs = [(x, y) for x in cat_x.objects for y in cat_x.objects]
-    full, faithful, missing = _hom_image_check(cat_x, cat_dh, second_map, pairs)
+    full, faithful, missing = _hom_image_check(cat_x, cat_dh, second_map)
     return ComparisonFunctors(
         cat_fl,
         cat_x,
@@ -604,13 +598,31 @@ def check_fullness(X: ControlledComplex, S: Iterable[VertexId], bound: int) -> F
     cat_sub = pi1(sub, bound)
     cat_x = pi1(X, bound)
     amap, ok = _arrow_map(cat_sub, cat_x)
-    pairs = [(x, y) for x in cat_sub.objects for y in cat_sub.objects]
-    full, faithful, missing = _hom_image_check(cat_sub, cat_x, amap, pairs)
+    full, faithful, missing = _hom_image_check(cat_sub, cat_x, amap)
     return FullnessReport(full and ok, faithful, missing)
 
 
 # ---------------------------------------------------------------------------
 # product and sum preservation
+
+
+def _class_images(
+    cat: FundamentalCategory, image_of: Callable[[Label], Hashable | None], noun: str
+) -> tuple[dict[int, Hashable], list[str]]:
+    """Each class's image in the factor categories, read on every label,
+    and a mismatch for each class with a label outside them or with labels
+    whose images differ, named after the ``noun`` of taking the image."""
+    image: dict[int, Hashable] = {}
+    mismatches: list[str] = []
+    for a in cat.arrows:
+        images = {image_of(lab) for lab in a.labels}
+        if None in images:
+            mismatches.append(f"{noun} of {a} leaves the factor category")
+        elif len(images) != 1:
+            mismatches.append(f"{noun}s of {a} disagree across its labels")
+        else:
+            image[a.index] = images.pop()
+    return image, mismatches
 
 
 @dataclass(frozen=True)
@@ -644,28 +656,15 @@ def check_product_preservation(
     if not objects_ok:
         mismatches.append("object sets differ")
 
-    def project(label: Label) -> tuple[Label, Label]:
+    def project(label: Label) -> tuple[int, int] | None:
         (x, y), word = label
         lw, _, rw, _ = P._split(word, 0)
-        return (x, lw), (y, rw)
+        ca, cb = cat_x.class_of_label(x, lw), cat_y.class_of_label(y, rw)
+        return None if ca is None or cb is None else (ca.index, cb.index)
 
-    homs_ok = True
-    image: dict[int, tuple[int, int]] = {}
-    for a in cat_p.arrows:
-        pairs = set()
-        for lab in a.labels:
-            (lx, lw), (ry, rw) = project(lab)
-            ca = cat_x.class_of_label(lx, lw)
-            cb = cat_y.class_of_label(ry, rw)
-            pairs.add(None if ca is None or cb is None else (ca.index, cb.index))
-        if None in pairs or len(pairs) != 1:
-            homs_ok = False
-            mismatches.append(
-                f"projection of {a} leaves the factor category" if None in pairs
-                else f"projections of {a} disagree across its labels"
-            )
-            continue
-        image[a.index] = next(iter(pairs))
+    image, bad = _class_images(cat_p, project, "projection")
+    mismatches += bad
+    homs_ok = not bad
 
     wanted: set[tuple[int, int]] = set()
     for a in cat_x.arrows:
@@ -718,23 +717,14 @@ def check_sum_preservation(
     if not objects_ok:
         mismatches.append("object sets differ")
 
-    homs_ok = True
-    image: dict[int, tuple[str, int]] = {}
-    for a in cat_s.arrows:
-        targets = set()
-        for (tag, x), word in a.labels:
-            plain = tuple(e for _, e in word)
-            cat = cat_x if tag == "L" else cat_y
-            c = cat.class_of_label(x, plain)
-            targets.add(None if c is None else (tag, c.index))
-        if None in targets or len(targets) != 1:
-            homs_ok = False
-            mismatches.append(
-                f"untagging of {a} leaves the factor category" if None in targets
-                else f"untaggings of {a} disagree across its labels"
-            )
-            continue
-        image[a.index] = next(iter(targets))
+    def untag(label: Label) -> tuple[str, int] | None:
+        (tag, x), word = label
+        c = (cat_x if tag == "L" else cat_y).class_of_label(x, (e for _, e in word))
+        return None if c is None else (tag, c.index)
+
+    image, bad = _class_images(cat_s, untag, "untagging")
+    mismatches += bad
+    homs_ok = not bad
 
     wanted = {("L", a.index) for a in cat_x.arrows}
     wanted |= {("R", a.index) for a in cat_y.arrows}

@@ -242,18 +242,18 @@ class ProductComplex(ControlledComplex):
         graph = Graph(vertices, edges)
 
         cells: list[SquareCell] = []
-        for e in sorted(left.graph.edge_ids, key=idkey):
+        for e in left.graph.edge_ids:
             es, ed = left.graph.endpoints(e)
-            for f in sorted(right.graph.edge_ids, key=idkey):
+            for f in right.graph.edge_ids:
                 fs, fd = right.graph.endpoints(f)
                 one = Route((es, fs), (ed, fd), (_h_edge(e, fs), _v_edge(ed, f)))
                 two = Route((es, fs), (ed, fd), (_v_edge(es, f), _h_edge(e, fd)))
                 cells.append(SquareCell(one, two))
         for c in left.cells:
-            for y in sorted(rv, key=idkey):
+            for y in rv:
                 cells.append(SquareCell(self._lift_left(c.left, y), self._lift_left(c.right, y)))
         for c in right.cells:
-            for x in sorted(lv, key=idkey):
+            for x in lv:
                 cells.append(SquareCell(self._lift_right(x, c.left), self._lift_right(x, c.right)))
 
         flexible = {(x, y) for x in left.flexible for y in right.flexible}

@@ -333,6 +333,25 @@ class TestCovering:
         ])
         assert code == 0, text
 
+    @pytest.mark.parametrize("option, entry, want", [
+        ("--vmap", ("3", "0"), "error: vmap key 3 is not a total vertex"),
+        ("--emap", ("e-2x", "e0"), "error: emap key e-2x is not a total edge"),
+    ])
+    def test_misspelt_map_keys_are_named(self, tmp_path, circle_file, option, entry, want):
+        total = str(tmp_path / "line.ctop")
+        run_command(["new", "line-c", "--window", "2", "-o", total])
+        maps = {
+            "--vmap": {str(k): "0" for k in range(-2, 3)},
+            "--emap": {f"e{k}": "e0" for k in range(-2, 2)},
+        }
+        maps[option][entry[0]] = entry[1]
+        args = ["cover-validate", total, circle_file, "--bound", "3"]
+        for name, mapping in maps.items():
+            path = tmp_path / f"{name[2:]}.json"
+            path.write_text(json.dumps(mapping))
+            args += [name, str(path)]
+        assert run_command(args) == (2, want)
+
 
 class TestUsage:
     def test_unknown_subcommand_is_a_usage_error(self):

@@ -41,6 +41,20 @@ class TestCoveringMapConstruction:
         with pytest.raises(StructureError):
             CoveringMap(X, B, vmap, {"e-1": "e0", "e0": "bad"})
 
+    @pytest.mark.parametrize("vmap, emap, want", [
+        ({"9": "0", "x": "0"}, {}, "vmap key 9 is not a total vertex"),
+        ({"1x": "0", "-1x": "0"}, {}, "vmap key -1x is not a total vertex"),
+        ({}, {"typo": "e0", "e1": "e0"}, "emap key e1 is not a total edge"),
+        ({"x": "0"}, {"typo": "e0"}, "vmap key x is not a total vertex"),
+    ])
+    def test_maps_name_only_total_vertices_and_edges(self, vmap, emap, want):
+        """The least stray key in ``idkey`` order is named."""
+        vmap = {"-1": "0", "0": "0", "1": "0", **vmap}
+        emap = {"e-1": "e0", "e0": "e0", **emap}
+        with pytest.raises(StructureError) as err:
+            CoveringMap(line_c(1), circle_n_stop(1), vmap, emap)
+        assert str(err.value) == want
+
     def test_fibres_are_sorted_preimages(self):
         p = exponential_cover(3, 6)
         assert p.fibre("0") == ("-6", "-3", "0", "3", "6")

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import brute_pi1_components
 from cspace import (
+    ArrowClass,
     FundamentalCategory,
     Graph,
     PresentedComplex,
@@ -254,6 +255,60 @@ class TestClassesLeavingAFactorCategory:
         assert len(report.mismatches) == 6
         assert all(m.startswith("untagging of [((R,") and m.endswith(
             "] leaves the factor category") for m in report.mismatches)
+
+
+class TestClassesDisagreeingAcrossTheirLabels:
+    """A factor with two parallel edges joined by a cell, given a category
+    with one class per label: a class joining both edges' labels has
+    images that disagree, and is reported once, as disagreeing."""
+
+    @pytest.fixture()
+    def split_y(self, monkeypatch):
+        g = Graph({"0", "1"}, {"a": ("0", "1"), "b": ("0", "1")})
+        a, b = g.route("0", ["a"]), g.route("0", ["b"])
+        Y = PresentedComplex(g, {a, b}, [SquareCell(a, b)])
+        module = importlib.import_module("cspace.pi1")
+        real = module.pi1
+
+        def split(X, bound):
+            cat = real(X, bound)
+            if X is not Y:
+                return cat
+            labelled = [(c, lab) for c in cat.arrows for lab in sorted(c.labels)]
+            return FundamentalCategory(Y.flexible, [
+                ArrowClass(i, c.source, c.target, Route(c.source, c.target, lab[1]),
+                           frozenset({lab}))
+                for i, (c, lab) in enumerate(labelled)], bound, False)
+
+        monkeypatch.setattr(module, "pi1", split)
+        return Y
+
+    def test_the_split_category_parts_the_parallel_edges(self, split_y):
+        module = importlib.import_module("cspace.pi1")
+        assert len(pi1(split_y, 3).hom("0", "1")) == 1
+        assert len(module.pi1(split_y, 3).hom("0", "1")) == 2
+
+    def test_product_preservation(self, ci, split_y):
+        P = product(ci, split_y)
+        joined = [c for c in pi1(P, 3).arrows if len(
+            {P.project_right(Route(s, c.target, w)).edges for s, w in c.labels}) > 1]
+        assert len(joined) == 3
+        report = check_product_preservation(ci, split_y, 3)
+        assert not report.homs_bijective
+        disagree = [m for m in report.mismatches if "disagree" in m]
+        assert sorted(disagree) == sorted(
+            f"projections of {c} disagree across its labels" for c in joined)
+        assert not any("leaves" in m for m in report.mismatches)
+
+    def test_sum_preservation(self, ci, split_y):
+        joined = pi1(sum_complex(ci, split_y), 3).hom(("R", "0"), ("R", "1"))
+        assert len(joined) == 1
+        report = check_sum_preservation(ci, split_y, 3)
+        assert not report.homs_bijective
+        assert report.mismatches == (
+            f"untaggings of {joined[0]} disagree across its labels",
+            "untagged classes do not pair off with the factors",
+        )
 
 
 class TestSymmetrizedCategories:

@@ -129,6 +129,15 @@ class TestProduct:
             (("R", "0", "e"), ("L", "e", "1")),
         }
 
+    def test_cells_are_listed_in_sort_key_order(self):
+        L, R = symmetrize(interval_c()), symmetrize(interval_j())
+        P = product(L, R)
+        # an interchange square per edge pair, each factor cell at each
+        # vertex of the other factor
+        assert len(P.cells) == 2 * 4 + 2 * 3 + 4 * 2
+        assert (len(L.cells), len(R.cells)) == (2, 4)
+        assert list(P.cells) == sorted(P.cells, key=SquareCell.sort_key)
+
     def test_delayed_factor_forces_the_dwell_in_the_product(self, ci, delayed_minus):
         P = product(delayed_minus, ci)
         r = P.graph.route(("0", "0"), [("L", "e", "0"), ("R", "1", "e")])
