@@ -172,6 +172,17 @@ class Route:
     def constant(cls, v: VertexId) -> "Route":
         return cls(v, v)
 
+    @classmethod
+    def _known(cls, start: VertexId, end: VertexId, edges: tuple[EdgeId, ...]) -> "Route":
+        """The dwell-free route of an edge tuple already known to run from
+        ``start`` to ``end``, such as a stored label; nothing is checked."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "start", start)
+        object.__setattr__(r, "end", end)
+        object.__setattr__(r, "edges", edges)
+        object.__setattr__(r, "dwells", frozenset())
+        return r
+
     @property
     def length(self) -> int:
         return len(self.edges)

@@ -30,7 +30,15 @@ within the store replays union-find over the moves that fit (its class
 roots and their arrow ordinals are kept as int arrays per bound) and
 returns a view that builds a hom's classes when asked: the labels of
 one hom lie in one run of the store, found by bisection.  A larger
-bound rebuilds the store by one walk to that bound.
+bound rebuilds the store by one walk to that bound.  The flexible part
+of a flexible space has its base's graph, cells and realizable labels,
+so its store holds the base's by reference and walks nothing; any other
+complex walks its own.
+
+The comparison functors and the product and sum audits work on label
+numbers: a label's class is its root's ordinal, composites are looked up
+from the representative words, and an ``ArrowClass`` or ``Route`` is
+built only for what a report returns.
 
 Enumeration is truncated at a length bound.  The category is exact when
 the path-support graph is acyclic with longest path within the bound;
@@ -51,6 +59,7 @@ from .core import (
     CompositionError,
     ControlledComplex,
     EdgeId,
+    FlexiblePart,
     Route,
     StructureError,
     VertexId,
@@ -143,20 +152,22 @@ class FundamentalCategory:
         self._roots: Sequence[int] = range(len(arrows))
         # no store: every hom is built, so none is left to look up
         self._store: _LabelStore | None = None
-        self._ordinals: Sequence[int] = ()
+        self._ordinals: Sequence[int] = range(len(arrows) + 1)
+        self._heads: Sequence[int] = range(len(arrows))
         self._classes = dict(enumerate(arrows))
         self._homs = {pair: tuple(v) for pair, v in homs.items()}
         self._arrows: tuple[ArrowClass, ...] | None = arrows
-        self._arrow_count = len(arrows)
         self._preorder = all(len(v) < 2 for v in homs.values())
 
     @classmethod
     def _view(
-        cls, store: _LabelStore, bound: int, roots: array, ordinals: array, preorder: bool
+        cls, store: _LabelStore, bound: int, roots: array, ordinals: array, heads: array,
+        preorder: bool,
     ) -> FundamentalCategory:
         """The category at ``bound`` over ``store``, whose classes at that
-        bound are ``roots``, whose arrow indices are ``ordinals``, and
-        ``preorder`` when no block holds two roots."""
+        bound are ``roots``, whose arrow indices are ``ordinals``, whose
+        roots in arrow order are ``heads``, and ``preorder`` when no block
+        holds two roots."""
         cat = cls.__new__(cls)
         cat._objects = store.objects
         cat._bound = bound
@@ -167,10 +178,10 @@ class FundamentalCategory:
         cat._width = store.bound + 1
         cat._store = store
         cat._ordinals = ordinals
+        cat._heads = heads
         cat._classes = {}
         cat._homs = {}
         cat._arrows = None
-        cat._arrow_count = ordinals[-1]
         cat._preorder = preorder
         return cat
 
@@ -181,9 +192,7 @@ class FundamentalCategory:
     @property
     def arrows(self) -> tuple[ArrowClass, ...]:
         if self._arrows is None:
-            self._arrows = tuple(
-                self._class(i) for i, root in enumerate(self._roots) if root == i
-            )
+            self._arrows = tuple(self._class(root) for root in self._heads)
         return self._arrows
 
     @property
@@ -196,7 +205,7 @@ class FundamentalCategory:
 
     @property
     def arrow_count(self) -> int:
-        return self._arrow_count
+        return self._ordinals[-1]
 
     def hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
         got = self._homs.get((x, y))
@@ -250,6 +259,27 @@ class FundamentalCategory:
             got = self._classes[root]
         return got
 
+    def _arrow_of(self, label: Label) -> int | None:
+        """The arrow index of a label's class, its root's ordinal, or None
+        when the label is not one of this category's."""
+        i = self._index.get(label)
+        if i is None or (root := self._roots[i]) < 0:
+            return None
+        return self._ordinals[root]
+
+    def _reps(self) -> list[tuple[VertexId, VertexId, tuple[EdgeId, ...]]]:
+        """Source, target and representative word of every arrow, in arrow
+        order; builds no class."""
+        store = self._store
+        if store is None:
+            return [(a.source, a.target, a.rep.edges) for a in self.arrows]
+        keys, width, labels, vertices = self._keys, self._width, store.labels, store.vertices
+        reps = []
+        for root in self._heads:
+            x, y = divmod(keys[root] // width, len(vertices))
+            reps.append((vertices[x], vertices[y], labels[root][1]))
+        return reps
+
     def _build_hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
         """The classes of hom(x, y), one per root in its block of the
         store, listed by root."""
@@ -265,7 +295,7 @@ class FundamentalCategory:
             members.setdefault(roots[i], []).append(labels[i])
         hom = []
         for root, labs in members.items():
-            rep = Route(x, y, labels[root][1])
+            rep = Route._known(x, y, labels[root][1])
             a = self._classes[root] = ArrowClass(self._ordinals[root], x, y, rep, frozenset(labs))
             hom.append(a)
         return tuple(hom)
@@ -315,19 +345,21 @@ class _LabelStore:
     ``cuts[b]`` pairs.  ``roots[b]`` gives each label of length <= b its
     class's least index, and -1 to longer labels; ``ordinals[b][i]``
     counts the roots below index i, so a root's arrow index is its
-    ordinal and the arrow count is the last entry; ``preorder[b]`` says
+    ordinal and the arrow count is the last entry; ``heads[b]`` lists the
+    roots in arrow order; ``preorder[b]`` says
     whether no block holds two roots.  ``longest`` is the support graph's
     longest path (infinite when cyclic).
     """
 
     __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
-                 "edges", "cuts", "roots", "ordinals", "preorder", "longest")
+                 "edges", "cuts", "roots", "ordinals", "heads", "preorder", "longest")
 
     def __init__(self, X: ControlledComplex, bound: int, longest: float) -> None:
         self.bound = bound
         self.longest = longest
         self.roots: dict[int, array] = {}
         self.ordinals: dict[int, array] = {}
+        self.heads: dict[int, array] = {}
         self.preorder: dict[int, bool] = {}
         self.objects = tuple(sorted(X.flexible, key=idkey))
         self.vertices = tuple(sorted(X.graph.vertices, key=idkey))
@@ -380,7 +412,7 @@ class _LabelStore:
             cuts.append(len(edges) // 2)
         return edges, cuts
 
-    def _roots_at(self, bound: int) -> tuple[array, array, bool]:
+    def _roots_at(self, bound: int) -> tuple[array, array, array, bool]:
         """Union-find over the moves within the bound; a union points the
         larger root at the smaller, so every parent index is at most its
         child's and one forward pass flattens the forest, counts the roots
@@ -388,7 +420,7 @@ class _LabelStore:
         holds two of them."""
         got = self.roots.get(bound)
         if got is not None:
-            return got, self.ordinals[bound], self.preorder[bound]
+            return got, self.ordinals[bound], self.heads[bound], self.preorder[bound]
         parent = list(range(len(self.labels)))
         edges = self.edges
         for t in range(0, 2 * self.cuts[bound], 2):
@@ -402,6 +434,7 @@ class _LabelStore:
             elif b < a:
                 parent[a] = b
         ordinals = array("i", [0])
+        heads = array("i")
         count = 0
         keys, width = self.keys, self.bound + 1
         block, preorder = -1, True
@@ -411,28 +444,50 @@ class _LabelStore:
             parent[i] = parent[parent[i]] if len(word) <= bound else -1
             if parent[i] == i:
                 count += 1
+                heads.append(i)
                 here = keys[i] // width
                 preorder = preorder and here != block
                 block = here
             ordinals.append(count)
         got = self.roots[bound] = array("i", parent)
         self.ordinals[bound] = ordinals
+        self.heads[bound] = heads
         self.preorder[bound] = preorder
-        return got, ordinals, preorder
+        return got, ordinals, heads, preorder
 
     def category(self, bound: int) -> FundamentalCategory:
         """The view at ``bound``; builds no arrow class."""
         return FundamentalCategory._view(self, bound, *self._roots_at(bound))
 
+    def _shared(self, longest: float) -> _LabelStore:
+        """A store holding this one's labels, keys, index, moves and
+        per-bound roots by reference, with its own ``longest``.  It keeps
+        this store alive after its complex moves on to a larger one."""
+        twin = _LabelStore.__new__(_LabelStore)
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.longest = longest
+        return twin
+
 
 def pi1(X: ControlledComplex, bound: int) -> FundamentalCategory:
     """Truncated fundamental category at the given length bound, as a view
-    over the complex's label store."""
+    over the complex's label store.
+
+    The flexible part of a flexible space shares its base's store: every
+    vertex is flexible and every controlled route is flexible, so it has
+    the base's graph, cells, objects and realizable labels, and only its
+    support, its whole graph, is its own."""
     check_bound(bound)
     store = X._label_store
     if store is None or store.bound < bound:
         longest = _support_longest(X) if store is None else store.longest
-        store = X._label_store = _LabelStore(X, bound, longest)
+        if isinstance(X, FlexiblePart) and X.base.flexibility_witness() is None:
+            pi1(X.base, bound)
+            store = X.base._label_store._shared(longest)
+        else:
+            store = _LabelStore(X, bound, longest)
+        X._label_store = store
     return store.category(bound)
 
 
@@ -493,32 +548,71 @@ def is_one_simple(X: ControlledComplex, bound: int) -> bool:
 # comparison functors
 
 
+def _images_by_root(
+    cat: FundamentalCategory, image_of: Callable[[Label], Hashable | None]
+) -> tuple[dict[int, Hashable], set[int], set[int]]:
+    """Each class's least image over its labels, keyed by root, with the
+    roots of the classes that have a label whose image is None and of those
+    whose labels' images differ.  Reads label numbers; builds no class."""
+    least: dict[int, Hashable] = {}
+    leaves: set[int] = set()
+    differs: set[int] = set()
+    roots = cat._roots
+    for label, i in cat._index.items():
+        root = roots[i]
+        if root < 0:
+            continue
+        image = image_of(label)
+        if image is None:
+            leaves.add(root)
+        elif (seen := least.setdefault(root, image)) != image:
+            differs.add(root)
+            least[root] = min(seen, image)
+    return least, leaves, differs
+
+
 def _arrow_map(
     src: FundamentalCategory, dst: FundamentalCategory
 ) -> tuple[dict[int, int], bool]:
     """Map classes along the identity on labels; flag well-definedness plus
-    functoriality (the label pass maps each identity by its constant)."""
+    functoriality (the label pass maps each identity by its constant).
+    The map is listed in arrow order and stops before the first class
+    with a label outside ``dst``.  Composites are looked up from the
+    representative words, so no class is built."""
+    least, leaves, differs = _images_by_root(src, dst._arrow_of)
     amap: dict[int, int] = {}
     ok = True
-    for a in src.arrows:
-        images = {dst.class_of_label(s, w) for s, w in a.labels}
-        if None in images:
+    for k, root in enumerate(src._heads):
+        if root in leaves:
             return amap, False
-        indices = {b.index for b in images}
-        if len(indices) != 1:
-            ok = False
-        amap[a.index] = min(indices)
-    for a in src.arrows:
-        for b in src.arrows:
-            if a.target != b.source:
+        ok = ok and root not in differs
+        amap[k] = least[root]
+    if not ok:
+        return amap, False
+    reps = src._reps()
+    leaving: dict[VertexId, list[int]] = {}
+    for k, (x, _, _) in enumerate(reps):
+        leaving.setdefault(x, []).append(k)
+    images = [word for _, _, word in dst._reps()]
+    for k, (x, y, word) in enumerate(reps):
+        image = images[amap[k]]
+        for m in leaving.get(y, ()):
+            composite = word + reps[m][2]
+            if len(composite) > src.bound:
                 continue
-            c = src.compose(a, b)
-            if c is None:
-                continue
-            d = dst.compose(dst.arrows[amap[a.index]], dst.arrows[amap[b.index]])
-            if d is None or amap[c.index] != d.index:
-                ok = False
-    return amap, ok
+            c = _composite(src, x, composite)
+            composite = image + images[amap[m]]
+            if len(composite) > dst.bound or amap[c] != _composite(dst, x, composite):
+                return amap, False
+    return amap, True
+
+
+def _composite(cat: FundamentalCategory, x: VertexId, word: tuple[EdgeId, ...]) -> int:
+    """The arrow of a concatenation of representatives within the bound."""
+    k = cat._arrow_of((x, word))
+    if k is None:
+        raise StructureError("concatenation of realizable labels must be realizable")
+    return k
 
 
 def _hom_image_check(
@@ -526,19 +620,26 @@ def _hom_image_check(
     dst: FundamentalCategory,
     amap: Mapping[int, int],
 ) -> tuple[bool, bool, tuple[tuple[VertexId, VertexId, Route], ...]]:
-    """Fullness and faithfulness of the mapped functor on the source's objects."""
+    """Fullness and faithfulness of the mapped functor on the source's
+    objects; a ``Route`` is built only for each missing class."""
+    images: dict[tuple[VertexId, VertexId], list[int]] = {}
+    for k, (x, y, _) in enumerate(src._reps()):
+        images.setdefault((x, y), []).append(amap[k])
+    listed: dict[tuple[VertexId, VertexId], list[tuple[int, tuple[EdgeId, ...]]]] = {}
+    for k, (x, y, word) in enumerate(dst._reps()):
+        listed.setdefault((x, y), []).append((k, word))
     full = True
     faithful = True
     missing: list[tuple[VertexId, VertexId, Route]] = []
     for x, y in itertools.product(src.objects, repeat=2):
-        images = [amap[a.index] for a in src.hom(x, y)]
-        if len(set(images)) != len(images):
+        got = images.get((x, y), [])
+        hit = set(got)
+        if len(hit) != len(got):
             faithful = False
-        hit = set(images)
-        for b in dst.hom(x, y):
-            if b.index not in hit:
+        for k, word in listed.get((x, y), ()):
+            if k not in hit:
                 full = False
-                missing.append((x, y, b.rep))
+                missing.append((x, y, Route._known(x, y, word)))
     return full, faithful, tuple(missing)
 
 
@@ -560,8 +661,9 @@ class ComparisonFunctors:
 
 
 def induced_comparisons(X: ControlledComplex, bound: int) -> ComparisonFunctors:
-    cat_fl = pi1(reflect_fl(X), bound)
+    # X first: the flexible part of a flexible space reads X's store
     cat_x = pi1(X, bound)
+    cat_fl = pi1(reflect_fl(X), bound)
     cat_dh = pi1(reflect_dhat(X), bound)
     first_map, first_ok = _arrow_map(cat_fl, cat_x)
     second_map, second_ok = _arrow_map(cat_x, cat_dh)
@@ -611,17 +713,18 @@ def _class_images(
 ) -> tuple[dict[int, Hashable], list[str]]:
     """Each class's image in the factor categories, read on every label,
     and a mismatch for each class with a label outside them or with labels
-    whose images differ, named after the ``noun`` of taking the image."""
+    whose images differ, named after the ``noun`` of taking the image.
+    Only a mismatch builds its class."""
+    least, leaves, differs = _images_by_root(cat, image_of)
     image: dict[int, Hashable] = {}
     mismatches: list[str] = []
-    for a in cat.arrows:
-        images = {image_of(lab) for lab in a.labels}
-        if None in images:
-            mismatches.append(f"{noun} of {a} leaves the factor category")
-        elif len(images) != 1:
-            mismatches.append(f"{noun}s of {a} disagree across its labels")
+    for k, root in enumerate(cat._heads):
+        if root in leaves:
+            mismatches.append(f"{noun} of {cat._class(root)} leaves the factor category")
+        elif root in differs:
+            mismatches.append(f"{noun}s of {cat._class(root)} disagree across its labels")
         else:
-            image[a.index] = images.pop()
+            image[k] = least[root]
     return image, mismatches
 
 
@@ -659,18 +762,20 @@ def check_product_preservation(
     def project(label: Label) -> tuple[int, int] | None:
         (x, y), word = label
         lw, _, rw, _ = P._split(word, 0)
-        ca, cb = cat_x.class_of_label(x, lw), cat_y.class_of_label(y, rw)
-        return None if ca is None or cb is None else (ca.index, cb.index)
+        a, b = cat_x._arrow_of((x, lw)), cat_y._arrow_of((y, rw))
+        return None if a is None or b is None else (a, b)
 
     image, bad = _class_images(cat_p, project, "projection")
     mismatches += bad
     homs_ok = not bad
 
-    wanted: set[tuple[int, int]] = set()
-    for a in cat_x.arrows:
-        for b in cat_y.arrows:
-            if a.rep.length + b.rep.length <= bound:
-                wanted.add((a.index, b.index))
+    right = [len(word) for _, _, word in cat_y._reps()]
+    wanted = {
+        (a, b)
+        for a, (_, _, word) in enumerate(cat_x._reps())
+        for b, n in enumerate(right)
+        if len(word) + n <= bound
+    }
     got = set(image.values())
     if len(got) != len(image):
         homs_ok = False
@@ -719,15 +824,15 @@ def check_sum_preservation(
 
     def untag(label: Label) -> tuple[str, int] | None:
         (tag, x), word = label
-        c = (cat_x if tag == "L" else cat_y).class_of_label(x, (e for _, e in word))
-        return None if c is None else (tag, c.index)
+        k = (cat_x if tag == "L" else cat_y)._arrow_of((x, tuple(e for _, e in word)))
+        return None if k is None else (tag, k)
 
     image, bad = _class_images(cat_s, untag, "untagging")
     mismatches += bad
     homs_ok = not bad
 
-    wanted = {("L", a.index) for a in cat_x.arrows}
-    wanted |= {("R", a.index) for a in cat_y.arrows}
+    wanted = {("L", k) for k in range(cat_x.arrow_count)}
+    wanted |= {("R", k) for k in range(cat_y.arrow_count)}
     got = set(image.values())
     if len(got) != len(image) or got != wanted:
         homs_ok = False

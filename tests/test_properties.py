@@ -18,6 +18,8 @@ from strategies import complexes_with_route, presented_complexes, routes_on
 from cspace import (
     ArrowClass,
     FundamentalCategory,
+    Graph,
+    PresentedComplex,
     Route,
     StructureError,
     check_middle_restriction,
@@ -28,6 +30,7 @@ from cspace import (
     full_substructure,
     idkey,
     is_flexible_route,
+    is_flexible_space,
     is_realizable,
     line_c,
     max_decoration,
@@ -44,8 +47,8 @@ from cspace import (
     route_concat,
     route_insert_dwell,
 )
-from cspace.core import MiddleRestrictionReport, PreflexibilityReport
-from cspace.pi1 import _support_longest
+from cspace.core import FlexiblePart, MiddleRestrictionReport, PreflexibilityReport
+from cspace.pi1 import _LabelStore, _support_longest
 from cspace.spaces import (
     interval_c,
     interval_delayed_minus,
@@ -585,6 +588,8 @@ BENCHMARK_POOL = {
     "circle3": (lambda: circle_n_stop(3), range(8, 13)),
     "middelayxline2": (lambda: product(interval_middle_delay(), line_c(2)), range(5, 8)),
     "fl(symcircle2)": (lambda: reflect_fl(symmetrize(circle_n_stop(2))), range(6, 10)),
+    "fl(middelayxline2)": (
+        lambda: reflect_fl(product(interval_middle_delay(), line_c(2))), range(5, 8)),
 }
 
 
@@ -669,6 +674,56 @@ class TestLabelStore:
     @given(presented_complexes(max_vertices=4, max_edges=6, max_cells=3, max_cell_side=3))
     def test_larger_complexes_match_the_scan_whatever_the_order_of_bounds(self, X):
         _assert_every_order_matches_the_scan(lambda: _every_kind(X), range(6))
+
+
+class TestFlexiblePartOfAFlexibleSpace:
+    """The flexible part of a flexible space has its base's labels and
+    moves, so its store reads the base's; only its support is its own."""
+
+    def test_it_walks_no_word_asks_no_membership_and_searches_no_move(self, monkeypatch):
+        X = product(line_c(3), line_c(3))
+        assert is_flexible_space(X)
+        pi1(X, 6)
+        F = reflect_fl(X)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flexible part built a store of its own")
+
+        monkeypatch.setattr(Graph, "iter_words", refuse)
+        monkeypatch.setattr(_LabelStore, "_moves", refuse)
+        monkeypatch.setattr(FlexiblePart, "_accepts", refuse)
+        cat = pi1(F, 5)
+        monkeypatch.undo()
+        base, own = X._label_store, F._label_store
+        for name in ("labels", "keys", "index", "edges", "roots"):
+            assert getattr(own, name) is getattr(base, name), name
+        _assert_same_category(cat, _scan_pi1(F, 5), "fl(line3xline3)")
+
+    def test_a_cold_base_store_is_built_for_it(self):
+        X = symmetrize(circle_n_stop(2))
+        F = reflect_fl(X)
+        pi1(F, 6)
+        assert X._label_store.bound == 6
+        assert F._label_store.labels is X._label_store.labels
+
+    def test_a_base_that_is_not_flexible_keeps_the_walk(self):
+        X = product(interval_middle_delay(), line_c(2))
+        assert not is_flexible_space(X)
+        pi1(reflect_fl(X), 5)
+        assert X._label_store is None
+
+    def test_the_truncation_flag_is_its_own(self):
+        # the edge back closes a cycle on no generator: outside X's exact
+        # support, inside the flexible part's, which is its whole graph
+        g = Graph({"0", "1"}, {"a": ("0", "1"), "b": ("1", "0")})
+        X = PresentedComplex(g, {g.route("0", ["a"])})
+        assert is_flexible_space(X)
+        F = reflect_fl(X)
+        for bound in range(1, 5):
+            assert not pi1(X, bound).possibly_incomplete
+            got = pi1(F, bound)
+            assert got.possibly_incomplete
+            _assert_same_category(got, _scan_pi1(F, bound), bound)
 
 
 def _assert_asked_first(cat, first, want, where):
