@@ -475,6 +475,9 @@ class ControlledComplex:
         # pi1's realizable labels and cell moves (``cspace.pi1._LabelStore``),
         # built on first use; an instance never changes, so neither do they
         self._label_store = None
+        # the complexes pi1's audits derive from this one, by kind
+        # (``cspace.pi1._kept``); kept for the same reason
+        self._derived: dict = {}
 
     @property
     def graph(self) -> Graph:

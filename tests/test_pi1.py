@@ -2,7 +2,10 @@
 product, and comparison computations."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import importlib
+import weakref
 
 import pytest
 
@@ -33,6 +36,8 @@ from cspace import (
     sum_complex,
     symmetrize,
 )
+from cspace.pi1 import _LabelStore
+from cspace.spaces import diagonal_square
 
 
 class TestIntervalCategories:
@@ -405,3 +410,102 @@ class TestCellMoves:
         assert _classes(short) == brute_pi1_components(X, 1)
         assert _words(long, "0", "1") == {frozenset({("a",), ("b",), ("f", "g")})}
         assert _words(short, "0", "1") == {frozenset({("a",)}), frozenset({("b",)})}
+
+
+def _prodpres(X, bound):
+    return check_product_preservation(X, X, bound)
+
+
+# (audit, how to build its base): a symmetrized circle is a flexible
+# space, so its flexible part reads its store; the diagonal square is not
+# full; a product of lines repeats factor words across product words
+KEPT_CASES = {
+    "induced-symmetrized-circle": (induced_comparisons, lambda: symmetrize(circle_n_stop(1))),
+    "induced-diagonal-square": (induced_comparisons, diagonal_square),
+    "prodpres-line": (_prodpres, lambda: line_c(1)),
+    "prodpres-circle": (_prodpres, lambda: circle_n_stop(1)),
+}
+
+
+def _fields(report):
+    """A report's fields, each category read as its objects, bound, flag
+    and arrow classes."""
+    def plain(value):
+        if isinstance(value, FundamentalCategory):
+            return (value.objects, value.bound, value.possibly_incomplete, value.arrows)
+        return value
+    return {f.name: plain(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+def _count_stores(monkeypatch):
+    """Count the label stores built from now on."""
+    built = []
+    real = _LabelStore.__init__
+
+    def counted(self, X, bound, longest):
+        built.append(X)
+        real(self, X, bound, longest)
+
+    monkeypatch.setattr(_LabelStore, "__init__", counted)
+    return built
+
+
+class TestKeptComplexes:
+    """A base keeps the complexes its comparison and product audits derive
+    from it, so repeated audits read warm label stores; the answers are
+    those of fresh objects."""
+
+    @pytest.mark.parametrize("name", sorted(KEPT_CASES))
+    def test_a_second_audit_walks_no_word(self, name, monkeypatch):
+        audit, build = KEPT_CASES[name]
+        X = build()
+        audit(X, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a repeated audit built a label store")
+
+        monkeypatch.setattr(_LabelStore, "__init__", refuse)
+        audit(X, 5)
+        audit(X, 3)
+
+    @pytest.mark.parametrize("name", sorted(KEPT_CASES))
+    def test_audits_on_one_base_equal_audits_on_fresh_objects(self, name):
+        audit, build = KEPT_CASES[name]
+        X = build()
+        for bound in (6, 4, 9, 4):
+            assert _fields(audit(X, bound)) == _fields(audit(build(), bound)), bound
+
+    def test_a_new_right_factor_replaces_the_kept_product(self, monkeypatch):
+        X, Y, Z = line_c(1), interval_c(), interval_j()
+        for factor in (X, Y, Z):
+            pi1(factor, 4)
+        built = _count_stores(monkeypatch)
+        check_product_preservation(X, Y, 4)
+        check_product_preservation(X, Y, 4)
+        assert len(built) == 1
+        report = check_product_preservation(X, Z, 4)
+        assert len(built) == 2
+        assert [part.recipe()[1] for part in built] == [(X, Y), (X, Z)]
+        assert report == check_product_preservation(line_c(1), interval_j(), 4)
+        built.clear()
+        check_product_preservation(X, Y, 4)
+        assert [part.recipe()[1] for part in built] == [(X, Y)]
+        assert len(X._derived) == 1
+
+    def test_a_base_and_what_it_keeps_are_collected_together(self):
+        X = symmetrize(circle_n_stop(1))
+        induced_comparisons(X, 4)
+        check_product_preservation(X, line_c(1), 4)
+        kept = [weakref.ref(part) for _, part in X._derived.values()]
+        assert len(kept) == 3
+        kept.append(weakref.ref(X))
+        del X
+        gc.collect()
+        assert [ref() for ref in kept] == [None] * 4
+
+    def test_a_complex_without_generators_raises_every_time_and_keeps_nothing(self):
+        X = product(interval_c(), interval_c())
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                induced_comparisons(X, 3)
+        assert X._derived == {}
