@@ -46,7 +46,13 @@ flexible part and generated d-space, and ``check_product_preservation``
 keeps the product with the last right factor it saw.  A later audit of
 the same base then reads those complexes' warm label stores, and their
 memory (about 0.6 MiB for each of the two audits on the benchmark's
-pool) lives as long as the base.  ``check_sum_preservation`` and
+pool) lives as long as the base.  Nothing these two audits read changes
+at a fixed bound, so each is decided once per label store and bound:
+the store's ``decided`` keeps ``induced_comparisons``'s maps and checks
+on X's store, and ``check_product_preservation``'s report on the kept
+product's store.  A store rebuilt for a larger bound starts with none,
+the flexible part's shared store has its own, and an audit that raises
+keeps nothing.  ``check_sum_preservation`` and
 ``check_fullness`` build their complex cold on each call: no workload
 repeats them, and a full substructure is keyed by an open-ended vertex
 set.  The public constructors (``product``, ``reflect_fl``, ...) keep
@@ -358,12 +364,16 @@ class _LabelStore:
     counts the roots below index i, so a root's arrow index is its
     ordinal and the arrow count is the last entry; ``heads[b]`` lists the
     roots in arrow order; ``preorder[b]`` says
-    whether no block holds two roots.  ``longest`` is the support graph's
-    longest path (infinite when cyclic).
+    whether no block holds two roots.  ``decided[(audit, b)]`` keeps the
+    result of an audit whose answer this store's category at b fixes,
+    keyed by the audit function; a store rebuilt for a larger bound starts
+    with none.  ``longest`` is the support graph's longest path (infinite
+    when cyclic).
     """
 
     __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
-                 "edges", "cuts", "roots", "ordinals", "heads", "preorder", "longest")
+                 "edges", "cuts", "roots", "ordinals", "heads", "preorder", "decided",
+                 "longest")
 
     def __init__(self, X: ControlledComplex, bound: int, longest: float) -> None:
         self.bound = bound
@@ -372,6 +382,7 @@ class _LabelStore:
         self.ordinals: dict[int, array] = {}
         self.heads: dict[int, array] = {}
         self.preorder: dict[int, bool] = {}
+        self.decided: dict[tuple[Callable, int], object] = {}
         self.objects = tuple(sorted(X.flexible, key=idkey))
         self.vertices = tuple(sorted(X.graph.vertices, key=idkey))
         rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
@@ -472,12 +483,14 @@ class _LabelStore:
 
     def _shared(self, longest: float) -> _LabelStore:
         """A store holding this one's labels, keys, index, moves and
-        per-bound roots by reference, with its own ``longest``.  It keeps
-        this store alive after its complex moves on to a larger one."""
+        per-bound roots by reference, with its own ``longest`` and its own
+        empty ``decided``: the twin's complex has audits of its own.  It
+        keeps this store alive after its complex moves on to a larger one."""
         twin = _LabelStore.__new__(_LabelStore)
         for name in self.__slots__:
             setattr(twin, name, getattr(self, name))
         twin.longest = longest
+        twin.decided = {}
         return twin
 
 
@@ -694,9 +707,11 @@ def induced_comparisons(X: ControlledComplex, bound: int) -> ComparisonFunctors:
     X keeps its flexible part and generated d-space (``_kept``), so a
     later call on X reads their warm label stores: on
     ``symmetrize(circle_n_stop(2))`` at bound 9 they hold about 555 KiB,
-    which lives as long as X.  A complex without generators has no
-    generated d-space: the call raises ``StructureError`` and keeps
-    nothing."""
+    which lives as long as X.  The maps and checks are decided once per
+    bound of X's label store and kept in its ``decided``; every call takes
+    its three categories from ``pi1`` and gets its own copies of the two
+    arrow maps.  A complex without generators has no generated d-space:
+    the call raises ``StructureError`` and keeps nothing."""
     # X first: the flexible part of a flexible space reads X's store
     cat_x = pi1(X, bound)
     # the generated d-space before the flexible part: without generators
@@ -704,21 +719,17 @@ def induced_comparisons(X: ControlledComplex, bound: int) -> ComparisonFunctors:
     dhat = _kept(reflect_dhat, X)
     cat_fl = pi1(_kept(reflect_fl, X), bound)
     cat_dh = pi1(dhat, bound)
-    first_map, first_ok = _arrow_map(cat_fl, cat_x)
-    second_map, second_ok = _arrow_map(cat_x, cat_dh)
-    full, faithful, missing = _hom_image_check(cat_x, cat_dh, second_map)
-    return ComparisonFunctors(
-        cat_fl,
-        cat_x,
-        cat_dh,
-        first_map,
-        second_map,
-        first_ok,
-        second_ok,
-        full,
-        faithful,
-        missing,
-    )
+    decided = cat_x._store.decided
+    got = decided.get((induced_comparisons, bound))
+    if got is None:
+        first_map, first_ok = _arrow_map(cat_fl, cat_x)
+        second_map, second_ok = _arrow_map(cat_x, cat_dh)
+        got = decided[induced_comparisons, bound] = (
+            first_map, second_map, first_ok, second_ok,
+            *_hom_image_check(cat_x, cat_dh, second_map),
+        )
+    first_map, second_map, *checks = got
+    return ComparisonFunctors(cat_fl, cat_x, cat_dh, dict(first_map), dict(second_map), *checks)
 
 
 @dataclass(frozen=True)
@@ -792,9 +803,14 @@ def check_product_preservation(
     later call on the same pair reads the product's warm label store: for
     ``line_c(3)`` with itself at bound 6 it holds about 605 KiB, which
     lives as long as X or until a call with another right factor replaces
-    it."""
+    it.  The product fixes X and Y, so the report is decided once per
+    bound of its label store and kept in its ``decided``."""
     P = _kept(product, X, Y)
     cat_p = pi1(P, bound)
+    decided = cat_p._store.decided
+    report = decided.get((check_product_preservation, bound))
+    if report is not None:
+        return report
     cat_x = pi1(X, bound)
     cat_y = pi1(Y, bound)
     mismatches: list[str] = []
@@ -831,7 +847,7 @@ def check_product_preservation(
             mismatches.append(f"factor pair {pair} not reached")
         for pair in sorted(got - wanted):
             mismatches.append(f"extra image pair {pair}")
-    return ProductPreservationReport(
+    report = decided[check_product_preservation, bound] = ProductPreservationReport(
         objects_ok,
         homs_ok,
         len(cat_p.objects),
@@ -839,6 +855,7 @@ def check_product_preservation(
         len(wanted),
         tuple(mismatches),
     )
+    return report
 
 
 @dataclass(frozen=True)

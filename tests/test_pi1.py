@@ -32,6 +32,7 @@ from cspace import (
     line_c,
     pi1,
     product,
+    reflect_fl,
     rigid_line,
     sum_complex,
     symmetrize,
@@ -509,3 +510,95 @@ class TestKeptComplexes:
             with pytest.raises(StructureError):
                 induced_comparisons(X, 3)
         assert X._derived == {}
+
+
+def _count_decisions(monkeypatch):
+    """Count the audits decided from now on: deciding a comparison audit
+    checks fullness once, and deciding a product audit reads the product's
+    classes once."""
+    module = importlib.import_module("cspace.pi1")
+    decided = []
+    for name in ("_hom_image_check", "_class_images"):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            decided.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return decided
+
+
+class TestDecidedAudits:
+    """An audit is decided once per label store and bound; later calls at
+    that bound read the kept result, which equals an audit of fresh
+    objects."""
+
+    @pytest.mark.parametrize("name", sorted(KEPT_CASES))
+    def test_a_repeated_audit_decides_nothing(self, name, monkeypatch):
+        audit, build = KEPT_CASES[name]
+        X = build()
+        first = _fields(audit(X, 5))
+        module = importlib.import_module("cspace.pi1")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a repeated audit was decided again")
+
+        with monkeypatch.context() as patched:
+            for helper in ("_arrow_map", "_class_images", "_hom_image_check"):
+                patched.setattr(module, helper, refuse)
+            assert _fields(audit(X, 5)) == first
+        # a larger bound rebuilds the stores of X and of what X keeps, and
+        # a rebuilt store has decided nothing
+        for part in [X, *(kept for _, kept in X._derived.values())]:
+            pi1(part, 9)
+        fresh = _fields(audit(build(), 5))
+        decisions = _count_decisions(monkeypatch)
+        assert _fields(audit(X, 5)) == fresh
+        assert _fields(audit(X, 5)) == fresh
+        assert len(decisions) == 1
+
+    def test_the_flexible_part_keeps_its_own_results(self):
+        # the flexible part of a flexible space shares its base's labels,
+        # but it is another complex: it has no generator presentation, so
+        # its comparison audit raises where its base's has an answer
+        X = symmetrize(circle_n_stop(1))
+        want = _fields(induced_comparisons(symmetrize(circle_n_stop(1)), 5))
+        assert _fields(induced_comparisons(X, 5)) == want
+        part = reflect_fl(X)
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                induced_comparisons(part, 5)
+        assert pi1(part, 5)._store.labels is pi1(X, 5)._store.labels
+        assert pi1(part, 5)._store.decided == {}
+        assert list(pi1(X, 5)._store.decided) == [(induced_comparisons, 5)]
+        assert _fields(induced_comparisons(X, 5)) == want
+
+    def test_a_returned_arrow_map_is_the_callers_own(self):
+        X = symmetrize(circle_n_stop(1))
+        want = _fields(induced_comparisons(symmetrize(circle_n_stop(1)), 4))
+        for _ in range(2):
+            got = induced_comparisons(X, 4)
+            assert _fields(got) == want
+            got.first_arrow_map.clear()
+            got.second_arrow_map[0] = -1
+        assert _fields(induced_comparisons(X, 4)) == want
+
+    def test_an_audit_that_raises_decides_nothing(self, monkeypatch):
+        X = product(interval_c(), interval_c())
+        with pytest.raises(StructureError):
+            induced_comparisons(X, 3)
+        assert pi1(X, 3)._store.decided == {}
+        module = importlib.import_module("cspace.pi1")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        for name, (audit, build) in sorted(KEPT_CASES.items()):
+            X = build()
+            with monkeypatch.context() as patched:
+                for helper in ("_class_images", "_hom_image_check"):
+                    patched.setattr(module, helper, fail)
+                with pytest.raises(RuntimeError):
+                    audit(X, 4)
+            stores = [X, *(kept for _, kept in X._derived.values())]
+            assert [pi1(part, 4)._store.decided for part in stores] == [{}] * len(stores), name
+            assert _fields(audit(X, 4)) == _fields(audit(build(), 4)), name
