@@ -45,7 +45,7 @@ predicates built on them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 VertexId = Hashable
@@ -134,6 +134,11 @@ def render_id(x: object) -> str:
     return str(x)
 
 
+# the dwell set of every dwell-free route: CPython makes a new empty
+# frozenset per call, so routes share this one
+_NO_DWELLS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class Route:
     """A dwell-marked edge path.
@@ -146,11 +151,11 @@ class Route:
     start: VertexId
     end: VertexId
     edges: tuple[EdgeId, ...] = ()
-    dwells: frozenset[int] = frozenset()
+    dwells: frozenset[int] = _NO_DWELLS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
-        dwells = frozenset(self.dwells)
+        dwells = frozenset(self.dwells) or _NO_DWELLS
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in dwells):
             raise InvalidRouteError("dwell positions must be integers")
         if self.edges:
@@ -165,7 +170,7 @@ class Route:
                 raise InvalidRouteError("constant route must end where it starts")
             if not dwells <= {0}:
                 raise InvalidRouteError("constant route admits no dwell position > 0")
-            dwells = frozenset()
+            dwells = _NO_DWELLS
         object.__setattr__(self, "dwells", dwells)
 
     @classmethod
@@ -180,7 +185,7 @@ class Route:
         object.__setattr__(r, "start", start)
         object.__setattr__(r, "end", end)
         object.__setattr__(r, "edges", edges)
-        object.__setattr__(r, "dwells", frozenset())
+        object.__setattr__(r, "dwells", _NO_DWELLS)
         return r
 
     @property
@@ -263,7 +268,16 @@ class SquareCell:
 
 
 class Graph:
-    """Finite directed multigraph with opaque vertex and edge ids."""
+    """Finite directed multigraph with opaque vertex and edge ids.
+
+    A graph keeps its vertices and edges in ``idkey`` order, fixed when it
+    is built: the public constructor sorts each id set once, and the
+    constructions that build a graph from other graphs (products, sums,
+    opposites, restrictions) pass an order derived from their parts to
+    ``_ordered``, which calls ``idkey`` on no composite id.  Out- and
+    in-edge lists, and every reader that lists vertices, edges or routes
+    of the graph, take that order.
+    """
 
     __slots__ = ("_vertices", "_edges", "_out", "_in")
 
@@ -272,18 +286,40 @@ class Graph:
         vertices: Iterable[VertexId],
         edges: Mapping[EdgeId, tuple[VertexId, VertexId]],
     ) -> None:
-        self._vertices = frozenset(vertices)
+        self._build(sorted(frozenset(vertices), key=idkey),
+                    sorted(edges.items(), key=lambda item: idkey(item[0])))
+
+    @classmethod
+    def _ordered(
+        cls,
+        vertices: Iterable[VertexId],
+        edges: Iterable[tuple[EdgeId, tuple[VertexId, VertexId]]],
+    ) -> Graph:
+        """The graph of distinct vertices and ``(edge, (src, dst))`` pairs
+        already in ``idkey`` order; the order is trusted, not checked."""
+        g = cls.__new__(cls)
+        g._build(vertices, edges)
+        return g
+
+    def _build(
+        self,
+        vertices: Iterable[VertexId],
+        edges: Iterable[tuple[EdgeId, tuple[VertexId, VertexId]]],
+    ) -> None:
+        # _out's keys list the vertices in order, and the edge lists fill in
+        # edge order
+        out: dict[VertexId, list[EdgeId]] = {v: [] for v in vertices}
+        inc: dict[VertexId, list[EdgeId]] = {v: [] for v in out}
+        self._vertices = frozenset(out)
         self._edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        out: dict[VertexId, list[EdgeId]] = {v: [] for v in self._vertices}
-        inc: dict[VertexId, list[EdgeId]] = {v: [] for v in self._vertices}
-        for e, (src, dst) in edges.items():
-            if src not in self._vertices or dst not in self._vertices:
+        for e, (src, dst) in edges:
+            if src not in out or dst not in out:
                 raise InvalidRouteError(f"edge {render_id(e)} references unknown vertex")
             self._edges[e] = (src, dst)
             out[src].append(e)
             inc[dst].append(e)
-        self._out = {v: tuple(sorted(es, key=idkey)) for v, es in out.items()}
-        self._in = {v: tuple(sorted(es, key=idkey)) for v, es in inc.items()}
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in inc.items()}
 
     @property
     def vertices(self) -> frozenset[VertexId]:
@@ -292,6 +328,29 @@ class Graph:
     @property
     def edge_ids(self) -> frozenset[EdgeId]:
         return frozenset(self._edges)
+
+    @property
+    def _ordered_vertices(self) -> Iterable[VertexId]:
+        """The vertices in ``idkey`` order."""
+        return self._out.keys()
+
+    @property
+    def _ordered_edges(self) -> Iterable[tuple[EdgeId, tuple[VertexId, VertexId]]]:
+        """The ``(edge, (src, dst))`` pairs in ``idkey`` order of the edges."""
+        return self._edges.items()
+
+    def _vertices_in(self, ids: Container[VertexId]) -> list[VertexId]:
+        """The vertices among ``ids``, in ``idkey`` order."""
+        return [v for v in self._out if v in ids]
+
+    def _route_key(self) -> Callable[[Route], tuple]:
+        """A sort key for routes of this graph that orders them as
+        ``Route.sort_key`` does, read from the graph's order: ranks held
+        only as long as the key is."""
+        vrank = {v: i for i, v in enumerate(self._out)}
+        erank = {e: i for i, e in enumerate(self._edges)}.__getitem__
+        return lambda r: (vrank[r.start], len(r.edges), tuple(map(erank, r.edges)),
+                          tuple(sorted(r.dwells)))
 
     def has_edge(self, e: EdgeId) -> bool:
         return e in self._edges
@@ -311,13 +370,10 @@ class Graph:
     def in_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
         return self._in.get(v, ())
 
-    def route(
-        self,
-        start: VertexId,
-        edges: Iterable[EdgeId] = (),
-        dwells: Iterable[int] = (),
-    ) -> Route:
-        """Build a route, computing the end vertex and validating the chain."""
+    def _walk(self, start: VertexId, edges: Iterable[EdgeId]) -> VertexId:
+        """The end vertex of the edge chain from ``start``; raises on an
+        unknown vertex or edge, or an edge that does not continue the
+        chain."""
         if start not in self._vertices:
             raise InvalidRouteError(f"unknown vertex {render_id(start)}")
         v = start
@@ -331,13 +387,23 @@ class Graph:
                     f"route is at {render_id(v)}"
                 )
             v = dst
-        return Route(start, v, tuple(edges), frozenset(dwells))
+        return v
+
+    def route(
+        self,
+        start: VertexId,
+        edges: Iterable[EdgeId] = (),
+        dwells: Iterable[int] = (),
+    ) -> Route:
+        """Build a route, computing the end vertex and validating the chain."""
+        edges = tuple(edges)
+        return Route(start, self._walk(start, edges), edges, frozenset(dwells))
 
     def validate_route(self, r: Route) -> None:
-        built = self.route(r.start, r.edges, r.dwells)
-        if built.end != r.end:
+        end = self._walk(r.start, r.edges)
+        if end != r.end:
             raise InvalidRouteError(
-                f"route ends at {render_id(built.end)}, not {render_id(r.end)}"
+                f"route ends at {render_id(end)}, not {render_id(r.end)}"
             )
 
     def visited(self, r: Route) -> tuple[VertexId, ...]:
@@ -464,11 +530,18 @@ class ControlledComplex:
         flexible: Iterable[VertexId] = (),
     ) -> None:
         self._graph = graph
-        cells = tuple(sorted(set(cells), key=SquareCell.sort_key))
+        cells = set(cells)
+        key = graph._route_key()
+        try:
+            cells = sorted(cells, key=lambda c: (key(c.left), key(c.right)))
+        except KeyError:
+            # a side names an id the graph lacks: sort by the public key, so
+            # the first invalid cell in that order is the one reported
+            cells = sorted(cells, key=SquareCell.sort_key)
         for c in cells:
             graph.validate_route(c.left)
             graph.validate_route(c.right)
-        self._cells = cells
+        self._cells = tuple(cells)
         self._flexible = frozenset(flexible)
         if not self._flexible <= graph.vertices:
             raise InvalidRouteError("flexible set mentions unknown vertices")
@@ -533,8 +606,10 @@ class ControlledComplex:
         comes first; kinds with more to check extend this.  The flexible
         part and the preflexible hull keep it: once every vertex is
         flexible, their routes are flexible by construction."""
-        stiff = sorted(self._graph.vertices - self._flexible, key=idkey)
-        return f"vertex {render_id(stiff[0])} is not flexible" if stiff else None
+        for v in self._graph._ordered_vertices:
+            if v not in self._flexible:
+                return f"vertex {render_id(v)} is not flexible"
+        return None
 
     def recipe(self) -> Recipe | None:
         """The construction that rebuilds this complex, if it has one."""
@@ -572,7 +647,7 @@ def _generator_witness(X: ControlledComplex) -> str | None:
     restriction.  Generators suffice: flexibility is closed under
     concatenation and dwell insertion.  One memo serves the search."""
     memo: dict = {}
-    for g in sorted(X.generators, key=Route.sort_key):
+    for g in sorted(X.generators, key=X.graph._route_key()):
         if not _flexible_in(X, g.start, g.edges, g.end, _mask(g.dwells), memo):
             return f"generator {g} has an uncontrolled restriction"
     return None
@@ -606,7 +681,7 @@ class PresentedComplex(ControlledComplex):
         # required dwells) listed under their last edge; constants only
         # mark flexibility
         self._ending: dict[EdgeId, list[tuple[int, Word, int]]] = {}
-        for g in sorted((g for g in gens if g.edges), key=Route.sort_key):
+        for g in sorted((g for g in gens if g.edges), key=graph._route_key()):
             self._ending.setdefault(g.edges[-1], []).append(
                 (len(g.edges), g.edges, _mask(g.dwells))
             )
@@ -747,7 +822,7 @@ def has_total_path_support(X: ControlledComplex) -> bool:
 def enumerate_words(
     graph: Graph, max_len: int
 ) -> Iterator[tuple[VertexId, tuple[EdgeId, ...], VertexId]]:
-    for v in sorted(graph.vertices, key=idkey):
+    for v in graph._ordered_vertices:
         for word, end in graph.iter_words(v, max_len):
             yield v, word, end
 
@@ -825,7 +900,8 @@ def _dhat_graph(X: ControlledComplex) -> Graph:
     exactly the d-space routes; walking it needs no membership DP."""
     gens = _presented_or_raise(X, "the generated d-space")
     used = {e for g in gens for e in g.edges}
-    return Graph(X.graph.vertices, {e: X.graph.endpoints(e) for e in used})
+    return Graph._ordered(X.graph._ordered_vertices,
+                          [(e, ends) for e, ends in X.graph._ordered_edges if e in used])
 
 
 def reflect_dhat(X: ControlledComplex) -> PresentedComplex:
@@ -861,12 +937,10 @@ class FlexiblePart(ControlledComplex):
 
     def __init__(self, base: ControlledComplex) -> None:
         flex = base.flexible
-        edges = {
-            e: base.graph.endpoints(e)
-            for e in base.graph.edge_ids
-            if base.graph.src(e) in flex and base.graph.dst(e) in flex
-        }
-        graph = Graph(flex, edges)
+        graph = Graph._ordered(base.graph._vertices_in(flex), [
+            (e, (src, dst)) for e, (src, dst) in base.graph._ordered_edges
+            if src in flex and dst in flex
+        ])
         cells = [
             c
             for c in base.cells
@@ -969,7 +1043,7 @@ def preflexibility(X: ControlledComplex, bound: int) -> PreflexibilityReport:
     dhat = _dhat_graph(X)
     flex = X.flexible
     memo: dict = {}
-    for start in sorted(flex, key=idkey):
+    for start in dhat._vertices_in(flex):
         for word, end in dhat.iter_words(start, bound):
             if word and end in flex and not X._accepts(start, word, end, 0, memo):
                 return PreflexibilityReport(False, bound, Route(start, end, word))
@@ -995,7 +1069,7 @@ def border_flexibility(X: ControlledComplex) -> BorderFlexibilityReport:
     concatenation re-decomposes through the stripped generators."""
     gens = _presented_or_raise(X, "border flexibility")
     memo: dict = {}
-    witnesses = [_decorate(g, m) for g in sorted(gens, key=Route.sort_key)
+    witnesses = [_decorate(g, m) for g in sorted(gens, key=X.graph._route_key())
                  for m in _strip_boundary(g)
                  if not X._accepts(g.start, g.edges, g.end, m, memo)]
     return BorderFlexibilityReport(not witnesses, tuple(witnesses))
@@ -1035,7 +1109,7 @@ def check_middle_restriction(X: ControlledComplex, bound: int) -> MiddleRestrict
     dhat = _dhat_graph(X)
     flex = X.flexible
     support_verts, _ = path_support(X)
-    targets = [Route.constant(v) for v in sorted(support_verts, key=idkey)]
+    targets = [Route.constant(v) for v in X.graph._vertices_in(support_verts)]
     # prolongations by the end they meet the target at, maximally dwelled:
     # membership is dwell-monotone, and the middle restriction drops the
     # span-boundary dwells anyway

@@ -73,7 +73,7 @@ class CoveringMap:
         object.__setattr__(self, "excluded", frozenset(self.excluded))
         tg, bg = self.total.graph, self.base.graph
         fibres: dict[VertexId, tuple[VertexId, ...]] = {}
-        for v in sorted(tg.vertices, key=idkey):
+        for v in tg._ordered_vertices:
             if v not in self.vmap:
                 raise StructureError(f"vmap misses vertex {render_id(v)}")
             if self.vmap[v] not in bg.vertices:
@@ -225,7 +225,9 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     # edge at vmap[x]: the star bijects iff its images are distinct and as
     # many as theirs
     star_ok = True
-    for x in sorted(tg.vertices - p.excluded, key=idkey):
+    for x in tg._ordered_vertices:
+        if x in p.excluded:
+            continue
         for mine, theirs, side in (
             (tg.out_edges(x), bg.out_edges(p.vmap[x]), "out"),
             (tg.in_edges(x), bg.in_edges(p.vmap[x]), "in"),

@@ -21,7 +21,6 @@ from .core import (
     Route,
     SquareCell,
     StructureError,
-    idkey,
 )
 from .spaces import _RECIPES, _rebuild
 
@@ -214,16 +213,16 @@ def _parse_recipe(recipe, path: str, depth: int) -> ControlledComplex:
 
 
 def _plain_document(X: ControlledComplex) -> dict:
+    graph = X.graph
     return {
         "schema": 1,
-        "vertices": sorted(X.graph.vertices, key=idkey),
+        "vertices": list(graph._ordered_vertices),
         "edges": [
-            {"id": e, "src": X.graph.src(e), "dst": X.graph.dst(e)}
-            for e in sorted(X.graph.edge_ids, key=idkey)
+            {"id": e, "src": src, "dst": dst} for e, (src, dst) in graph._ordered_edges
         ],
         "generators": [
             {"start": g.start, "edges": list(g.edges), "dwells": sorted(g.dwells)}
-            for g in sorted(X.generators, key=Route.sort_key)
+            for g in sorted(X.generators, key=graph._route_key())
         ],
         "cells": [
             {"start": c.left.start, "left": list(c.left.edges), "right": list(c.right.edges)}
@@ -252,7 +251,7 @@ def serialize_complex(X: ControlledComplex) -> dict:
     else:
         body["base"] = docs[0]
     if keep is not None:
-        body["keep"] = [encode_id(v) for v in sorted(keep, key=idkey)]
+        body["keep"] = [encode_id(v) for v in parts[0].graph._vertices_in(keep)]
     return {"schema": 1, "recipe": body}
 
 

@@ -383,8 +383,8 @@ class _LabelStore:
         self.heads: dict[int, array] = {}
         self.preorder: dict[int, bool] = {}
         self.decided: dict[tuple[Callable, int], object] = {}
-        self.objects = tuple(sorted(X.flexible, key=idkey))
-        self.vertices = tuple(sorted(X.graph.vertices, key=idkey))
+        self.objects = tuple(X.graph._vertices_in(X.flexible))
+        self.vertices = tuple(X.graph._ordered_vertices)
         rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
         width = bound + 1
         found = []

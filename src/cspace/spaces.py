@@ -228,18 +228,15 @@ class ProductComplex(ControlledComplex):
     tag = "product"
 
     def __init__(self, left: ControlledComplex, right: ControlledComplex) -> None:
-        lv, rv = left.graph.vertices, right.graph.vertices
-        vertices = {(x, y) for x in lv for y in rv}
-        edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        for e in left.graph.edge_ids:
-            src, dst = left.graph.endpoints(e)
-            for y in rv:
-                edges[_h_edge(e, y)] = ((src, y), (dst, y))
-        for f in right.graph.edge_ids:
-            src, dst = right.graph.endpoints(f)
-            for x in lv:
-                edges[_v_edge(x, f)] = ((x, src), (x, dst))
-        graph = Graph(vertices, edges)
+        # idkey order from the factors' orders: pairs lexicographically, and
+        # every ("L", e, y) edge before every ("R", x, f) edge
+        lg, rg = left.graph, right.graph
+        lv, rv = tuple(lg._ordered_vertices), tuple(rg._ordered_vertices)
+        edges = [(_h_edge(e, y), ((src, y), (dst, y)))
+                 for e, (src, dst) in lg._ordered_edges for y in rv]
+        edges += [(_v_edge(x, f), ((x, src), (x, dst)))
+                  for x in lv for f, (src, dst) in rg._ordered_edges]
+        graph = Graph._ordered([(x, y) for x in lv for y in rv], edges)
 
         cells: list[SquareCell] = []
         for e in left.graph.edge_ids:
@@ -357,16 +354,12 @@ class SumComplex(ControlledComplex):
     tag = "sum"
 
     def __init__(self, left: ControlledComplex, right: ControlledComplex) -> None:
-        vertices = {tag_left(v) for v in left.graph.vertices}
-        vertices |= {tag_right(v) for v in right.graph.vertices}
-        edges: dict[EdgeId, tuple[VertexId, VertexId]] = {}
-        for e in left.graph.edge_ids:
-            s, d = left.graph.endpoints(e)
-            edges[("L", e)] = (tag_left(s), tag_left(d))
-        for e in right.graph.edge_ids:
-            s, d = right.graph.endpoints(e)
-            edges[("R", e)] = (tag_right(s), tag_right(d))
-        graph = Graph(vertices, edges)
+        # idkey order from the summands' orders: the left summand first
+        vertices = [(tag, v) for tag, part in (("L", left), ("R", right))
+                    for v in part.graph._ordered_vertices]
+        edges = [((tag, e), ((tag, s), (tag, d))) for tag, part in (("L", left), ("R", right))
+                 for e, (s, d) in part.graph._ordered_edges]
+        graph = Graph._ordered(vertices, edges)
         cells = [
             SquareCell(_tag_route(c.left, "L"), _tag_route(c.right, "L"))
             for c in left.cells
@@ -442,10 +435,8 @@ def opposite(X: ControlledComplex) -> ControlledComplex:
     Without generators, rebuild the recipe from the opposites of its parts."""
     gens = X.generators
     if gens is not None:
-        edges = {
-            e: (X.graph.dst(e), X.graph.src(e)) for e in X.graph.edge_ids
-        }
-        graph = Graph(X.graph.vertices, edges)
+        xg = X.graph
+        graph = Graph._ordered(xg._ordered_vertices, [(e, (d, s)) for e, (s, d) in xg._ordered_edges])
         new_gens = {_reverse_route(X, g) for g in gens}
         cells = {
             SquareCell(_reverse_route(X, c.left), _reverse_route(X, c.right))
@@ -591,13 +582,12 @@ def quotient(X: ControlledComplex, spec: QuotientSpec) -> PresentedComplex:
                 f"collapsed edge {render_id(e)} must join vertices of one block"
             )
 
-    vertices = {rep[v] for v in X.graph.vertices}
-    edges = {
-        e: (rep[X.graph.src(e)], rep[X.graph.dst(e)])
-        for e in X.graph.edge_ids
-        if e not in spec.collapse
-    }
-    graph = Graph(vertices, edges)
+    # the quotient's ids are the base's, so it keeps the base's order
+    xg = X.graph
+    graph = Graph._ordered(
+        [v for v in xg._ordered_vertices if rep[v] == v],
+        [(e, (rep[s], rep[d])) for e, (s, d) in xg._ordered_edges if e not in spec.collapse],
+    )
 
     def image(r: Route) -> Route:
         out_edges: list[EdgeId] = []
@@ -720,5 +710,4 @@ def reversible_cancellation(
     cells = set(X.cells)
     cells.add(SquareCell(Route(s, s, (e, e_reverse)), Route.constant(s)))
     cells.add(SquareCell(Route(d, d, (e_reverse, e)), Route.constant(d)))
-    edges = {eid: X.graph.endpoints(eid) for eid in X.graph.edge_ids}
-    return PresentedComplex(Graph(X.graph.vertices, edges), gens, cells)
+    return PresentedComplex(X.graph, gens, cells)
