@@ -45,7 +45,7 @@ predicates built on them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 VertexId = Hashable
@@ -178,14 +178,17 @@ class Route:
         return cls(v, v)
 
     @classmethod
-    def _known(cls, start: VertexId, end: VertexId, edges: tuple[EdgeId, ...]) -> "Route":
-        """The dwell-free route of an edge tuple already known to run from
-        ``start`` to ``end``, such as a stored label; nothing is checked."""
+    def _known(cls, start: VertexId, end: VertexId, edges: tuple[EdgeId, ...],
+               dwells: frozenset[int] = _NO_DWELLS) -> "Route":
+        """The route of an edge tuple already known to run from ``start``
+        to ``end``, such as a stored label, with ``dwells`` already
+        canonical for it, such as those of a route of the same length;
+        nothing is checked."""
         r = object.__new__(cls)
         object.__setattr__(r, "start", start)
         object.__setattr__(r, "end", end)
         object.__setattr__(r, "edges", edges)
-        object.__setattr__(r, "dwells", _NO_DWELLS)
+        object.__setattr__(r, "dwells", dwells)
         return r
 
     @property
@@ -400,10 +403,14 @@ class Graph:
         return Route(start, self._walk(start, edges), edges, frozenset(dwells))
 
     def validate_route(self, r: Route) -> None:
-        end = self._walk(r.start, r.edges)
-        if end != r.end:
+        self._check_walk(r.start, r.edges, r.end)
+
+    def _check_walk(self, start: VertexId, edges: Iterable[EdgeId], end: VertexId) -> None:
+        """Raise unless the edge chain runs from ``start`` to ``end``."""
+        got = self._walk(start, edges)
+        if got != end:
             raise InvalidRouteError(
-                f"route ends at {render_id(end)}, not {render_id(r.end)}"
+                f"route ends at {render_id(got)}, not {render_id(end)}"
             )
 
     def visited(self, r: Route) -> tuple[VertexId, ...]:
@@ -728,15 +735,20 @@ class PresentedComplex(ControlledComplex):
             return frozenset({0}) if start in self._flexible else frozenset()
         n = len(word)
         needs: list[frozenset[int]] = [frozenset({0})] + [frozenset()] * n
-        ending = self._ending
         for c in range(1, n + 1):
-            found: set[int] = set()
-            for k, g, need in ending.get(word[c - 1], ()):
-                p = c - k
-                if p >= 0 and needs[p] and word[p:c] == g:
-                    found.update(a | need << p for a in needs[p])
-            needs[c] = _minimal(found)
+            needs[c] = self._dwell_step(word, c, needs)
         return needs[n]
+
+    def _dwell_step(self, word: Word, c: int, needs: Sequence[frozenset[int]]) -> frozenset[int]:
+        """One step of the antichain DP: the minimal dwell sets of the
+        splits of ``word[:c]``, from ``needs[p]``, those of ``word[:p]``
+        for each p < c (``needs[0]`` is ``{0}``, the empty split)."""
+        found: set[int] = set()
+        for k, g, need in self._ending.get(word[c - 1], ()):
+            p = c - k
+            if p >= 0 and needs[p] and word[p:c] == g:
+                found.update(a | need << p for a in needs[p])
+        return _minimal(found)
 
     def flexibility_witness(self) -> str | None:
         return super().flexibility_witness() or _generator_witness(self)
@@ -873,10 +885,10 @@ def oracle_equivalent(
     if {vmap[v] for v in X.flexible} != set(Y.flexible):
         return False
     for start, word, end in enumerate_words(X.graph, bound):
-        image = Route(vmap[start], vmap[end], tuple(emap[e] for e in word))
-        Y.graph.validate_route(image)
+        image = tuple(emap[e] for e in word)
+        Y.graph._check_walk(vmap[start], image, vmap[end])
         if X._minimal_dwells(start, word, end) != Y._minimal_dwells(
-            image.start, image.edges, image.end
+            vmap[start], image, vmap[end]
         ):
             return False
     return True

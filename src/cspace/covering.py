@@ -11,6 +11,17 @@ Finite windows of the controlled line stand in for the infinite total
 spaces of exponential covers, so window boundary vertices are excluded
 from the star condition and lifts that run off through them are counted
 as skipped rather than failed.
+
+When base and total are both presented, the lift condition has a finite
+certificate: every fibre point over a flexible base vertex is flexible
+upstairs, and every base generator within the bound, lifted from every
+fibre point over its start, is controlled upstairs with its own dwells
+or runs off at an excluded vertex.  Lifts commute with concatenation
+and a presented space is closed under it, so the certificate makes
+every controlled base route within the bound lift or run off, and
+``validate_covering`` then only counts the lifts.  When it fails, or
+either side is not presented, the lifts are audited word by word, and
+that audit lists the witnesses.
 """
 from __future__ import annotations
 
@@ -20,12 +31,14 @@ from dataclasses import dataclass
 from .core import (
     ControlledComplex,
     EdgeId,
+    PresentedComplex,
     Route,
     StructureError,
     VertexId,
     Word,
     _dwell_masks,
     _dwell_width,
+    _mask,
     _positions,
     _satisfies,
     _upset_size,
@@ -182,7 +195,8 @@ def lift_route(p: CoveringMap, b: Route, x0: VertexId) -> Route:
     edges, x, count = _lift(p, x0, b.edges)
     if count != 1:
         raise StructureError(_stuck(p, x, count, b.edges[len(edges)]))
-    return Route(x0, x, edges, b.dwells)
+    # b is a valid route, so its dwells are canonical for a word of this length
+    return Route._known(x0, x, edges, b.dwells)
 
 
 @dataclass(frozen=True)
@@ -209,13 +223,13 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     up to the bound from every fibre point.  Lifts that run off through
     an excluded vertex are skipped, not failed.
 
-    Lifting ignores dwells and membership is monotone in them, so each
-    dwell-free base word is lifted once per fibre point, as an edge word,
-    and its lift is asked only at the base word's minimal dwell sets; the
-    counts still add one per controlled decoration and fibre point.  A
-    word whose lifts fail is replayed decoration by decoration, so the
-    witnesses are listed in route enumeration order; only the routes
-    named in a witness are built.
+    When base and total are both presented and the generator certificate
+    holds (``_generators_lift``), every controlled base route within the
+    bound lifts to a controlled route or runs off at an excluded vertex,
+    so the total space is asked nothing per word: one walk over the base
+    words counts the lifts (``_count_lifts``).  Otherwise the lifts are
+    audited word by word (``_audit_lifts``), the only path that lists
+    lift witnesses.
     """
     check_bound(bound)
     tg, bg = p.total.graph, p.base.graph
@@ -244,11 +258,115 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     if not flexible_ok:
         witnesses.append("flexible vertices upstairs are not the flexible fibres")
 
+    if _generators_lift(p, bound):
+        lift_ok = True
+        checked, skipped = _count_lifts(p, bound)
+    else:
+        lift_ok, checked, skipped = _audit_lifts(p, bound, witnesses)
+    valid = star_ok and lift_ok and flexible_ok
+    return CoveringReport(
+        valid, star_ok, lift_ok, flexible_ok, bound, p.excluded,
+        checked, skipped, tuple(witnesses),
+    )
+
+
+def _generators_lift(p: CoveringMap, bound: int) -> bool:
+    """The generator certificate for the lift condition at ``bound``.
+
+    It applies when base and total are both presented, and holds iff
+    every fibre point over a flexible base vertex is flexible upstairs,
+    and every base generator of length <= bound, lifted from every fibre
+    point over its start, is controlled upstairs with the generator's own
+    dwells or runs off at an excluded vertex.
+
+    Then every controlled base route of length <= bound lifts to a
+    controlled route or runs off at an excluded vertex.  A nonempty
+    controlled route splits into generator words, each of length <= bound,
+    whose dwells, shifted to where each starts, lie in the route's dwells.
+    Lifts are unique and commute with concatenation, so the lift from x0
+    is the concatenation of the generators' lifts, each from a fibre point
+    over that generator's start, up to where it stops.  A lift that stops
+    stops inside one generator's lift, which therefore runs off at an
+    excluded vertex.  A whole lift is a concatenation of controlled
+    generator lifts, and a presented total accepts any concatenation of
+    accepted pieces, and any larger dwell set, so it is controlled with
+    the route's dwells, which lift verbatim.  An empty route is controlled
+    iff its vertex is flexible, and its lifts are the constants over it,
+    flexible upstairs by the first condition."""
+    base, total = p.base, p.total
+    if not (isinstance(base, PresentedComplex) and isinstance(total, PresentedComplex)):
+        return False
+    if any(x not in total.flexible for y in base.flexible for x in p.fibre(y)):
+        return False
+    for g in base.generators:
+        if not g.edges or len(g.edges) > bound:
+            continue
+        dwells = _mask(g.dwells)
+        for x0 in p.fibre(g.start):
+            edges, x, count = _lift(p, x0, g.edges)
+            if count == 1:
+                if not total._accepts(x0, edges, x, dwells, {}):
+                    return False
+            elif count or x not in p.excluded:
+                return False
+    return True
+
+
+def _count_lifts(p: CoveringMap, bound: int) -> tuple[int, int]:
+    """The checked and skipped lift counts of a presented base under the
+    generator certificate: per controlled decoration of a base word up to
+    the bound, its whole lifts are checked and its stuck lifts, which
+    under the certificate all run off at excluded vertices, are skipped.
+
+    One depth-first walk over the base words carries, per depth, the
+    prefix antichains of the base's DP (``PresentedComplex._dwell_step``)
+    and the current vertices of the lifts still whole, one step of the
+    map's index per lift and edge; a word's controlled decorations are the
+    up-set of its antichain."""
+    base, bg = p.base, p.base.graph
+    over, dst, step = p._over, p.total.graph.dst, base._dwell_step
+    checked = skipped = 0
+    needs: list[frozenset[int]] = [frozenset({0})] * (bound + 1)
+    for start in bg._ordered_vertices:
+        fibre = p.fibre(start)
+        if start in base.flexible:
+            checked += len(fibre)
+        # (word, the whole lifts' vertices before its last edge); the walk
+        # is depth-first, so needs[:c] holds the antichains of the prefixes
+        # of a word of length c when it is popped
+        stack = [((e,), fibre) for e in bg.out_edges(start)] if bound else []
+        while stack:
+            word, before = stack.pop()
+            c, f = len(word), word[-1]
+            # a list: tuple() over a generator allocates a fresh tuple each
+            # time, and the freed ones pile up on CPython's tuple free lists
+            lifted = [dst(up[0]) for x in before if len(up := over.get((x, f), ())) == 1]
+            got = needs[c] = step(word, c, needs)
+            if got:
+                decorations = _upset_size(got, _dwell_width(c))
+                checked += decorations * len(lifted)
+                skipped += decorations * (len(fibre) - len(lifted))
+            if c < bound:
+                stack.extend((word + (e,), lifted) for e in bg.out_edges(bg.dst(f)))
+    return checked, skipped
+
+
+def _audit_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool, int, int]:
+    """The lift condition word by word, with witnesses appended in route
+    enumeration order: whether it holds, and the checked and skipped
+    lift counts.
+
+    Lifting ignores dwells and membership is monotone in them, so each
+    dwell-free base word is lifted once per fibre point, as an edge word,
+    and its lifts are asked only at the base word's minimal dwell sets;
+    the counts still add one per controlled decoration and fibre point.
+    A word whose lifts fail is replayed decoration by decoration; only
+    the routes named in a witness are built."""
     lift_ok = True
     checked = 0
     skipped = 0
     total, excluded, memo = p.total, p.excluded, {}
-    for start, word, end in enumerate_words(bg, bound):
+    for start, word, end in enumerate_words(p.base.graph, bound):
         needs = p.base._minimal_dwells(start, word, end)
         if not needs:
             continue
@@ -284,11 +402,7 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
                     witnesses.append(
                         f"no edge over {render_id(word[len(edges)])} at {render_id(x)}"
                     )
-    valid = star_ok and lift_ok and flexible_ok
-    return CoveringReport(
-        valid, star_ok, lift_ok, flexible_ok, bound, p.excluded,
-        checked, skipped, tuple(witnesses),
-    )
+    return lift_ok, checked, skipped
 
 
 @dataclass(frozen=True)

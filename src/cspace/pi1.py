@@ -50,7 +50,9 @@ pool) lives as long as the base.  Nothing these two audits read changes
 at a fixed bound, so each is decided once per label store and bound:
 the store's ``decided`` keeps ``induced_comparisons``'s maps and checks
 on X's store, and ``check_product_preservation``'s report on the kept
-product's store.  A store rebuilt for a larger bound starts with none,
+product's store.  ``fundamental_monoid``'s table is likewise kept per
+store, bound and basepoint; views and their ``ArrowClass`` objects are
+not kept.  A store rebuilt for a larger bound starts with none,
 the flexible part's shared store has its own, and an audit that raises
 keeps nothing.  ``check_sum_preservation`` and
 ``check_fullness`` build their complex cold on each call: no workload
@@ -364,11 +366,12 @@ class _LabelStore:
     counts the roots below index i, so a root's arrow index is its
     ordinal and the arrow count is the last entry; ``heads[b]`` lists the
     roots in arrow order; ``preorder[b]`` says
-    whether no block holds two roots.  ``decided[(audit, b)]`` keeps the
-    result of an audit whose answer this store's category at b fixes,
-    keyed by the audit function; a store rebuilt for a larger bound starts
-    with none.  ``longest`` is the support graph's longest path (infinite
-    when cyclic).
+    whether no block holds two roots.  ``decided[(audit, b, ...)]`` keeps
+    the result of an audit whose answer this store's category at b fixes,
+    keyed by the audit function, the bound and the audit's further
+    arguments, such as a monoid's basepoint; a store rebuilt for a larger
+    bound starts with none.  ``longest`` is the support graph's longest
+    path (infinite when cyclic).
     """
 
     __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
@@ -382,7 +385,7 @@ class _LabelStore:
         self.ordinals: dict[int, array] = {}
         self.heads: dict[int, array] = {}
         self.preorder: dict[int, bool] = {}
-        self.decided: dict[tuple[Callable, int], object] = {}
+        self.decided: dict[tuple, object] = {}
         self.objects = tuple(X.graph._vertices_in(X.flexible))
         self.vertices = tuple(X.graph._ordered_vertices)
         rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
@@ -562,21 +565,28 @@ class MonoidTable:
 
 
 def fundamental_monoid(X: ControlledComplex, x0: VertexId, bound: int) -> MonoidTable:
+    """The monoid table at ``x0``.  The category at a bound fixes it, so it
+    is decided once per label store, bound and basepoint and kept in the
+    store's ``decided``; a call that raises keeps nothing."""
     _check_objects(X, x0)
     cat = pi1(X, bound)
-    classes = cat.hom(x0, x0)
-    local = {a.index: i for i, a in enumerate(classes)}
-    rows = []
-    for a in classes:
-        row = []
-        for b in classes:
-            c = cat.compose(a, b)
-            row.append(None if c is None else local[c.index])
-        rows.append(tuple(row))
-    identity = local[cat.identity(x0).index]
-    return MonoidTable(
-        x0, classes, tuple(rows), identity, bound, cat.possibly_incomplete
-    )
+    decided = cat._store.decided
+    table = decided.get((fundamental_monoid, bound, x0))
+    if table is None:
+        classes = cat.hom(x0, x0)
+        local = {a.index: i for i, a in enumerate(classes)}
+        rows = []
+        for a in classes:
+            row = []
+            for b in classes:
+                c = cat.compose(a, b)
+                row.append(None if c is None else local[c.index])
+            rows.append(tuple(row))
+        identity = local[cat.identity(x0).index]
+        table = decided[fundamental_monoid, bound, x0] = MonoidTable(
+            x0, classes, tuple(rows), identity, bound, cat.possibly_incomplete
+        )
+    return table
 
 
 def is_one_simple(X: ControlledComplex, bound: int) -> bool:

@@ -310,6 +310,25 @@ class TestOracleComparison:
         Y = PresentedComplex(g, {g.route("a", ["x"])})
         assert oracle_equivalent(ci, Y, 3, {"0": "a", "1": "b"}, {"e": "x"})
 
+    def test_compares_words_without_building_routes(self, ci, monkeypatch):
+        g = Graph(["a", "b"], {"x": ("a", "b")})
+        Y = PresentedComplex(g, {g.route("a", ["x"])})
+        built = []
+        monkeypatch.setattr(Route, "__post_init__", lambda self: built.append(self))
+        assert oracle_equivalent(ci, Y, 3, {"0": "a", "1": "b"}, {"e": "x"})
+        assert built == []
+
+    @pytest.mark.parametrize("x, message", [
+        (("b", "a"), "edge x starts at b, route is at a"),
+        (("a", "a"), "route ends at a, not b"),
+    ])
+    def test_an_image_off_the_other_graph_is_named(self, ci, x, message):
+        g = Graph(["a", "b"], {"x": x})
+        Y = PresentedComplex(g, {g.route(x[0], ["x"]), Route.constant("a"), Route.constant("b")})
+        with pytest.raises(InvalidRouteError) as err:
+            oracle_equivalent(ci, Y, 3, {"0": "a", "1": "b"}, {"e": "x"})
+        assert str(err.value) == message
+
     def test_different_structures_compare_unequal(self, ci, delayed_minus):
         assert not oracle_equivalent(ci, delayed_minus, 3)
 

@@ -83,6 +83,16 @@ class TestLifting:
         assert lift.dwells == frozenset({1})
         assert p.project(lift) == b
 
+    def test_a_lift_is_built_without_validating_it_again(self, monkeypatch):
+        p = exponential_cover(3, 6)
+        b = p.base.graph.route("0", ["e0", "e1"], {0, 2})
+        with monkeypatch.context() as patched:
+            built = []
+            patched.setattr(Route, "__post_init__", lambda self: built.append(self))
+            lift = lift_route(p, b, "3")
+            assert built == []
+        assert lift == Route("3", "5", ("e3", "e4"), frozenset({0, 2}))
+
     def test_lifts_can_start_anywhere_in_the_fibre(self):
         p = exponential_cover(1, 3)
         b = p.base.graph.route("0", ["e0"])
@@ -228,6 +238,16 @@ def _forked_cover():
     return CoveringMap(total, B, {"a": "0", "b": "1", "c": "1"}, {"x": "e", "y": "e"})
 
 
+def _stranded_fibre_cover():
+    """A fibre point with no edges: the generator's lift from it runs off
+    at an excluded vertex, but its constant lift is not controlled, since
+    no generator makes it flexible upstairs."""
+    g = Graph(["-1", "0", "1", "s"], {"e-1": ("-1", "0"), "e0": ("0", "1")})
+    total = PresentedComplex(g, {g.route("-1", ["e-1"]), g.route("0", ["e0"])})
+    return CoveringMap(total, circle_n_stop(1), {v: "0" for v in g.vertices},
+                       {"e-1": "e0", "e0": "e0"}, excluded=frozenset({"-1", "1", "s"}))
+
+
 DIFFERENTIAL_COVERS = {
     "exponential-1-5": (lambda: exponential_cover(1, 5), 6),
     "exponential-3-6": (lambda: exponential_cover(3, 6), 6),
@@ -246,6 +266,9 @@ DIFFERENTIAL_COVERS = {
     "runs-off-unexcluded": (
         lambda: _line_over_loop(2, [(1, set())], [(1, set())], excluded=False), 3),
     "non-unique-lift": (_forked_cover, 2),
+    "stranded-fibre-point": (_stranded_fibre_cover, 2),
+    **{f"exponential-{n}-{w}-bound-{b}": (lambda n=n, w=w: exponential_cover(n, w), b)
+       for n in range(1, 5) for w in (6, 8, 10) for b in range(9)},
 }
 
 
@@ -281,6 +304,34 @@ class TestValidationAgainstTheBruteAudit:
         p = CoveringMap(X, Y, {v: v for v in X.graph.vertices},
                         {e: e for e in X.graph.edge_ids})
         assert validate_covering(p, 3) == brute_validate_covering(p, 3)
+
+
+class TestCertifiedValidation:
+    """When the generators lift, the audit counts lifts without asking the
+    total space about any base word."""
+
+    def test_the_total_is_asked_only_about_generator_lifts(self, monkeypatch):
+        p = exponential_cover(3, 12)
+        whole = 0
+        for g in p.base.generators:
+            for x0 in p.fibre(g.start):
+                try:
+                    lift_route(p, g, x0)
+                except StructureError:
+                    continue
+                whole += 1
+        asked = []
+        real = p.total._accepts
+
+        def counted(*args):
+            asked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(p.total, "_accepts", counted)
+        report = validate_covering(p, 9)
+        assert report.valid and report.checked_lifts > 1000
+        # 25 window vertices; only the lift from the window's end runs off
+        assert len(asked) == whole == 24
 
 
 def test_cli_text_of_a_large_exponential_audit():

@@ -582,6 +582,37 @@ class TestDecidedAudits:
             got.second_arrow_map[0] = -1
         assert _fields(induced_comparisons(X, 4)) == want
 
+    def test_a_monoid_table_is_kept_per_bound_and_basepoint(self):
+        X = symmetrize(circle_n_stop(2))
+        table = fundamental_monoid(X, "0", 6)
+        assert fundamental_monoid(X, "0", 6) is table
+        assert fundamental_monoid(X, "1", 6) is not table
+        assert fundamental_monoid(X, "0", 5) is not table
+        for x, bound in (("0", 6), ("1", 6), ("0", 5)):
+            fresh = fundamental_monoid(symmetrize(circle_n_stop(2)), x, bound)
+            assert fundamental_monoid(X, x, bound) == fresh
+        # the flexible part shares X's labels but keeps its own tables
+        part = reflect_fl(X)
+        assert fundamental_monoid(part, "0", 6) is not table
+        assert fundamental_monoid(part, "0", 6) == table
+        assert pi1(X, 6) is not pi1(X, 6)
+
+    def test_a_monoid_call_that_raises_keeps_nothing(self, monkeypatch):
+        X = rigid_line(2)
+        with pytest.raises(StructureError):
+            fundamental_monoid(X, "1", 3)
+        assert pi1(X, 3)._store.decided == {}
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(FundamentalCategory, "compose", fail)
+            with pytest.raises(RuntimeError):
+                fundamental_monoid(X, "0", 3)
+        assert pi1(X, 3)._store.decided == {}
+        assert fundamental_monoid(X, "0", 3) == fundamental_monoid(rigid_line(2), "0", 3)
+
     def test_an_audit_that_raises_decides_nothing(self, monkeypatch):
         X = product(interval_c(), interval_c())
         with pytest.raises(StructureError):
