@@ -130,7 +130,11 @@ def _resolve_cover(args) -> CoveringMap:
     if args.exponential is not None:
         if args.window is None:
             raise _UsageError("--exponential needs --window")
+        if {args.total, args.base, args.vmap, args.emap, args.excluded} != {None}:
+            raise _UsageError("--exponential takes no TOTAL, BASE, --vmap, --emap or --excluded")
         return exponential_cover(args.exponential, args.window)
+    if args.window is not None:
+        raise _UsageError("--window needs --exponential")
     if not args.total or not args.base:
         raise _UsageError("give TOTAL and BASE documents, or --exponential N --window M")
     if not args.vmap or not args.emap:

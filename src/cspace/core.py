@@ -35,8 +35,11 @@ dwell-free word form an up-set: the supersets of a finite antichain of
 minimal dwell sets, which ``minimal_dwell_sets`` returns and which each
 kind of complex declares (a presented complex by the antichain form of
 its DP, the others from their parts or by asking ``_accepts`` on masks by
-increasing size).  Audits over many decorations (oracle comparison,
-covering validation) ask for the antichain once per word.
+increasing size).  Audits over many decorations ask for the antichain
+once per word; the covering audit carries a presented base's prefix
+antichains down its walk.  ``Graph.iter_words``, which lists a prefix
+before its extensions, is the package's one word walk: the ``pi1`` label
+store, the classification checks and the covering audit go through it.
 
 The module also provides the four reflectors (generated d-space, flexible
 part, preflexible hull, border-flexible rewrite) and the classification

@@ -12,16 +12,17 @@ spaces of exponential covers, so window boundary vertices are excluded
 from the star condition and lifts that run off through them are counted
 as skipped rather than failed.
 
-When base and total are both presented, the lift condition has a finite
-certificate: every fibre point over a flexible base vertex is flexible
-upstairs, and every base generator within the bound, lifted from every
-fibre point over its start, is controlled upstairs with its own dwells
-or runs off at an excluded vertex.  Lifts commute with concatenation
-and a presented space is closed under it, so the certificate makes
-every controlled base route within the bound lift or run off, and
-``validate_covering`` then only counts the lifts.  When it fails, or
-either side is not presented, the lifts are audited word by word, and
-that audit lists the witnesses.
+One walk over the base words up to the bound checks the lift condition,
+carrying each prefix's minimal dwell sets and the fibre points' lifts.
+When base and total are both presented, a finite certificate decides
+whether the walk asks the total space anything: every fibre point over
+a flexible base vertex is flexible upstairs, and every base generator
+within the bound, lifted from every fibre point over its start, is
+controlled upstairs with its own dwells or runs off at an excluded
+vertex.  Lifts commute with concatenation and a presented space is
+closed under it, so then every controlled base route within the bound
+lifts or runs off, and the walk only counts the lifts.  Otherwise it
+asks the total about each word's lifts and lists the witnesses.
 """
 from __future__ import annotations
 
@@ -223,13 +224,12 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     up to the bound from every fibre point.  Lifts that run off through
     an excluded vertex are skipped, not failed.
 
-    When base and total are both presented and the generator certificate
-    holds (``_generators_lift``), every controlled base route within the
-    bound lifts to a controlled route or runs off at an excluded vertex,
-    so the total space is asked nothing per word: one walk over the base
-    words counts the lifts (``_count_lifts``).  Otherwise the lifts are
-    audited word by word (``_audit_lifts``), the only path that lists
-    lift witnesses.
+    One walk over the base words (``_walk_lifts``) checks the lifts.  When
+    the generator certificate holds (``_generators_lift``), every controlled
+    base route within the bound lifts or runs off at an excluded vertex, so
+    the walk asks the total space nothing; otherwise it lists the witnesses.
+    The walk keeps one entry per word length it reaches, so a bound past
+    the base's longest word costs nothing more.
     """
     check_bound(bound)
     tg, bg = p.total.graph, p.base.graph
@@ -258,11 +258,7 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     if not flexible_ok:
         witnesses.append("flexible vertices upstairs are not the flexible fibres")
 
-    if _generators_lift(p, bound):
-        lift_ok = True
-        checked, skipped = _count_lifts(p, bound)
-    else:
-        lift_ok, checked, skipped = _audit_lifts(p, bound, witnesses)
+    lift_ok, checked, skipped = _walk_lifts(p, bound, witnesses)
     valid = star_ok and lift_ok and flexible_ok
     return CoveringReport(
         valid, star_ok, lift_ok, flexible_ok, bound, p.excluded,
@@ -312,80 +308,66 @@ def _generators_lift(p: CoveringMap, bound: int) -> bool:
     return True
 
 
-def _count_lifts(p: CoveringMap, bound: int) -> tuple[int, int]:
-    """The checked and skipped lift counts of a presented base under the
-    generator certificate: per controlled decoration of a base word up to
-    the bound, its whole lifts are checked and its stuck lifts, which
-    under the certificate all run off at excluded vertices, are skipped.
-
-    One depth-first walk over the base words carries, per depth, the
-    prefix antichains of the base's DP (``PresentedComplex._dwell_step``)
-    and the current vertices of the lifts still whole, one step of the
-    map's index per lift and edge; a word's controlled decorations are the
-    up-set of its antichain."""
-    base, bg = p.base, p.base.graph
-    over, dst, step = p._over, p.total.graph.dst, base._dwell_step
+def _walk_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool, int, int]:
+    """The lift condition over every base word up to the bound, with
+    witnesses appended in route enumeration order: whether it holds, and
+    the checked and skipped counts, one per controlled decoration and fibre
+    point.  ``enumerate_words`` lists the words from each base vertex, a
+    prefix before its extensions, so the walk carries per length the prefix
+    antichains (one ``PresentedComplex._dwell_step`` per word over a
+    presented base) and the vertices of the lifts still whole, one index
+    step per lift and edge.  Under the generator certificate the whole
+    lifts are checked and the stuck ones, which all run off at excluded
+    vertices, skipped.  Otherwise lifting ignores dwells and membership is
+    monotone in them, so the total is asked about each whole lift at the
+    word's minimal dwell sets; a word whose lifts fail is replayed
+    decoration by decoration, and only the routes named in a witness are
+    built."""
+    base, total, excluded = p.base, p.total, p.excluded
+    certified = _generators_lift(p, bound)
+    step = base._dwell_step if isinstance(base, PresentedComplex) else None
+    over, dst = p._over, total.graph.dst
+    lift_ok = True
     checked = skipped = 0
-    needs: list[frozenset[int]] = [frozenset({0})] * (bound + 1)
-    for start in bg._ordered_vertices:
-        fibre = p.fibre(start)
-        if start in base.flexible:
-            checked += len(fibre)
-        # (word, the whole lifts' vertices before its last edge); the walk
-        # is depth-first, so needs[:c] holds the antichains of the prefixes
-        # of a word of length c when it is popped
-        stack = [((e,), fibre) for e in bg.out_edges(start)] if bound else []
-        while stack:
-            word, before = stack.pop()
-            c, f = len(word), word[-1]
+    memo: dict = {}
+    for start, word, end in enumerate_words(base.graph, bound):
+        c = len(word)
+        if c:
+            f = word[-1]
             # a list: tuple() over a generator allocates a fresh tuple each
             # time, and the freed ones pile up on CPython's tuple free lists
-            lifted = [dst(up[0]) for x in before if len(up := over.get((x, f), ())) == 1]
-            got = needs[c] = step(word, c, needs)
-            if got:
-                decorations = _upset_size(got, _dwell_width(c))
-                checked += decorations * len(lifted)
-                skipped += decorations * (len(fibre) - len(lifted))
-            if c < bound:
-                stack.extend((word + (e,), lifted) for e in bg.out_edges(bg.dst(f)))
-    return checked, skipped
-
-
-def _audit_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool, int, int]:
-    """The lift condition word by word, with witnesses appended in route
-    enumeration order: whether it holds, and the checked and skipped
-    lift counts.
-
-    Lifting ignores dwells and membership is monotone in them, so each
-    dwell-free base word is lifted once per fibre point, as an edge word,
-    and its lifts are asked only at the base word's minimal dwell sets;
-    the counts still add one per controlled decoration and fibre point.
-    A word whose lifts fail is replayed decoration by decoration; only
-    the routes named in a witness are built."""
-    lift_ok = True
-    checked = 0
-    skipped = 0
-    total, excluded, memo = p.total, p.excluded, {}
-    for start, word, end in enumerate_words(p.base.graph, bound):
-        needs = p.base._minimal_dwells(start, word, end)
-        if not needs:
+            lifted = [dst(up[0]) for x in lifts[c - 1] if len(up := over.get((x, f), ())) == 1]
+            got = step(word, c, needs) if step else base._minimal_dwells(start, word, end)
+            needs[c:] = [got]
+            lifts[c:] = [lifted]
+        else:
+            # a new base vertex; per length, the prefixes of the word walked:
+            # needs[0] is the empty split of the DP, not the empty word's antichain
+            fibre = lifted = p.fibre(start)
+            needs, lifts = [frozenset({0})], [fibre]
+            got = base._minimal_dwells(start, word, end)
+        if not got:
             continue
-        lifts = [(x0, *_lift(p, x0, word)) for x0 in p.fibre(start)]
-        whole = [(x0, edges, x) for x0, edges, x, count in lifts if count == 1]
-        off = sum(count == 0 and x in excluded for _, _, x, count in lifts)
-        if len(whole) + off == len(lifts) and all(
+        decorations = _upset_size(got, _dwell_width(c))
+        if certified:
+            checked += decorations * len(lifted)
+            skipped += decorations * (len(fibre) - len(lifted))
+            continue
+        lifts_of = [(x0, *_lift(p, x0, word)) for x0 in fibre]
+        whole = [(x0, edges, x) for x0, edges, x, count in lifts_of if count == 1]
+        off = sum(count == 0 and x in excluded for _, _, x, count in lifts_of)
+        if len(whole) + off == len(lifts_of) and all(
             total._accepts(x0, edges, x, need, memo)
-            for x0, edges, x in whole for need in needs
+            for x0, edges, x in whole for need in got
         ):
-            decorations = _upset_size(needs, _dwell_width(len(word)))
             skipped += decorations * off
             checked += decorations * len(whole)
             continue
         lift_ok = False
-        for mask in _dwell_masks(len(word)):
-            if not _satisfies(mask, needs):
+        for mask in _dwell_masks(c):
+            if not _satisfies(mask, got):
                 continue
-            for x0, edges, x, count in lifts:
+            for x0, edges, x, count in lifts_of:
                 if count == 1:
                     checked += 1
                     if not total._accepts(x0, edges, x, mask, memo):

@@ -194,7 +194,7 @@ class FundamentalCategory:
         cat._index = store.index
         cat._roots = roots
         cat._keys = store.keys
-        cat._width = store.bound + 1
+        cat._width = store.width
         cat._store = store
         cat._ordinals = ordinals
         cat._heads = heads
@@ -308,7 +308,8 @@ class FundamentalCategory:
             return ()
         keys, roots, labels = self._keys, self._roots, self._store.labels
         first = (rx * len(rank) + ry) * self._width
-        lo, hi = bisect_left(keys, first), bisect_right(keys, first + self._bound)
+        last = first + min(self._bound, self._width - 1)
+        lo, hi = bisect_left(keys, first), bisect_right(keys, last)
         members: dict[int, list[Label]] = {}
         for i in range(lo, hi):
             members.setdefault(roots[i], []).append(labels[i])
@@ -350,31 +351,32 @@ class _LabelStore:
     """The realizable labels of one complex up to ``bound``, with the cell
     moves between them and the classes of every bound asked so far.
 
-    ``labels`` are in representative order: by start and end vertex, then
-    by length, then edge by edge in ``idkey`` order.  ``keys`` holds each
-    label's sort key, (start rank * vertex count + end rank) * (bound + 1)
-    + length, where ``vertices`` lists the vertices by rank and ``rank``
-    maps them back, so the labels of one hom within a bound are the run
-    that a bisection of ``keys`` finds.  ``index`` numbers the labels.  A
-    move keeps both endpoints, so all labels of a class share a block,
-    and the class member of least index is its representative; listing
-    classes by that index lists the arrows in order.  ``edges`` holds
-    each move as two label indices, the moves sorted by the length of
-    their longer label, so the moves within bound b are the first
-    ``cuts[b]`` pairs.  ``roots[b]`` gives each label of length <= b its
-    class's least index, and -1 to longer labels; ``ordinals[b][i]``
-    counts the roots below index i, so a root's arrow index is its
-    ordinal and the arrow count is the last entry; ``heads[b]`` lists the
-    roots in arrow order; ``preorder[b]`` says
+    ``labels`` are in representative order: by start and end vertex, then by
+    length, then edge by edge in ``idkey`` order.  ``keys`` holds each
+    label's sort key, (start rank * vertex count + end rank) * width +
+    length, where ``width`` is one more than the longest label, and
+    ``vertices`` lists the vertices by rank and ``rank`` maps them back, so
+    the labels of one hom within a bound are the run that a bisection of
+    ``keys`` finds.  ``index`` numbers the labels.  A move keeps both
+    endpoints, so all labels of a class share a block, and the class member
+    of least index is its representative; listing classes by that index
+    lists the arrows in order.  ``edges`` holds each move as two label
+    indices, the moves sorted by the length of their longer label, so the
+    moves within bound b are the first ``cuts[b]`` pairs, and a bound past
+    the longest label reads the classes at ``width - 1``.  ``roots[b]``
+    gives each label of length <= b its class's least index, and -1 to
+    longer labels; ``ordinals[b][i]`` counts the roots below index i, so a
+    root's arrow index is its ordinal and the arrow count is the last entry;
+    ``heads[b]`` lists the roots in arrow order; ``preorder[b]`` says
     whether no block holds two roots.  ``decided[(audit, b, ...)]`` keeps
     the result of an audit whose answer this store's category at b fixes,
     keyed by the audit function, the bound and the audit's further
     arguments, such as a monoid's basepoint; a store rebuilt for a larger
-    bound starts with none.  ``longest`` is the support graph's longest
-    path (infinite when cyclic).
+    bound starts with none.  ``longest`` is the support graph's longest path
+    (infinite when cyclic).
     """
 
-    __slots__ = ("bound", "objects", "vertices", "rank", "labels", "keys", "index",
+    __slots__ = ("bound", "width", "objects", "vertices", "rank", "labels", "keys", "index",
                  "edges", "cuts", "roots", "ordinals", "heads", "preorder", "decided",
                  "longest")
 
@@ -389,20 +391,22 @@ class _LabelStore:
         self.objects = tuple(X.graph._vertices_in(X.flexible))
         self.vertices = tuple(X.graph._ordered_vertices)
         rank = self.rank = {v: i for i, v in enumerate(self.vertices)}
-        width = bound + 1
         found = []
         memo: dict = {}
         # iter_words lists the words from one start in edge-by-edge idkey
-        # order (a prefix before its extensions), so a stable sort by start,
-        # end and length leaves each (start, end, length) block in that order
+        # order (a prefix before its extensions), so stable sorts by length
+        # and then by start and end leave each (start, end, length) block in
+        # that order; int keys sort faster than (block, length) tuples
         for x in self.objects:
             for word, end in X.graph.iter_words(x, bound):
                 if X._accepts(x, word, end, _full_mask(len(word)), memo):
-                    key = (rank[x] * len(rank) + rank[end]) * width + len(word)
-                    found.append((key, (x, word)))
+                    found.append((rank[x] * len(rank) + rank[end], len(word), (x, word)))
+        found.sort(key=itemgetter(1))
         found.sort(key=itemgetter(0))
-        self.keys = array("q", [key for key, _ in found])
-        self.labels: list[Label] = [lab for _, lab in found]
+        # one more than the longest label: nothing grows with a bound past it
+        width = self.width = 1 + max((n for _, n, _ in found), default=0)
+        self.keys = array("q", [block * width + n for block, n, _ in found])
+        self.labels: list[Label] = [lab for _, _, lab in found]
         del found, memo
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.edges, self.cuts = self._moves(X)
@@ -419,17 +423,17 @@ class _LabelStore:
             if old.edges:
                 sides.setdefault(len(old.edges), {}).setdefault(old.edges, []).append(new.edges)
         index = self.index
-        by_length: list[list[int]] = [[] for _ in range(self.bound + 1)]
+        by_length: list[list[int]] = [[] for _ in range(self.width)]
         for i, (start, word) in enumerate(self.labels):
             n = len(word)
             for k, by_word in sides.items():
                 for p in range(n - k + 1):
                     for new in by_word.get(word[p : p + k], ()):
-                        m = n - k + len(new)
-                        if m <= self.bound:
-                            j = index.get((start, word[:p] + new + word[p + k :]))
-                            if j is not None:
-                                by_length[n if n > m else m] += (i, j)
+                        # a label past the longest one is not in the index
+                        j = index.get((start, word[:p] + new + word[p + k :]))
+                        if j is not None:
+                            m = n - k + len(new)
+                            by_length[n if n > m else m] += (i, j)
         edges = array("i")
         cuts = []
         for pairs in by_length:
@@ -443,6 +447,8 @@ class _LabelStore:
         child's and one forward pass flattens the forest, counts the roots
         and, since the labels run block by block, finds whether one block
         holds two of them."""
+        if bound >= self.width:
+            bound = self.width - 1
         got = self.roots.get(bound)
         if got is not None:
             return got, self.ordinals[bound], self.heads[bound], self.preorder[bound]
@@ -461,7 +467,7 @@ class _LabelStore:
         ordinals = array("i", [0])
         heads = array("i")
         count = 0
-        keys, width = self.keys, self.bound + 1
+        keys, width = self.keys, self.width
         block, preorder = -1, True
         for i, (_, word) in enumerate(self.labels):
             # labels past the bound have no move within it, so no label's

@@ -8,8 +8,9 @@ over realizable words, for every kind of complex.  Membership in a complex built
 follows the literal definition of its construction on top of that
 table: a product route through both of its projections, a flexible-part
 route through every one of its sub-routes.  The covering audit decides
-every decoration of every base route through the saturation table,
-sharing only the route enumeration with the package.  Property tests compare the package's
+every decoration of every base route through that membership, for
+every kind of complex, sharing only the route enumeration with the
+package.  Property tests compare the package's
 answers against these.
 """
 from __future__ import annotations
@@ -256,10 +257,10 @@ def _brute_lift(p, b: Route, x0):
 def brute_validate_covering(p, bound: int) -> CoveringReport:
     """The covering audit decoration by decoration: every dwell subset of
     every base word up to the bound, base and total membership both
-    decided by ``brute_route_table``."""
+    decided by ``brute_membership``, so every kind of complex is covered."""
     tg, bg = p.total.graph, p.base.graph
-    base_table = brute_route_table(p.base, bound)
-    total_table = brute_route_table(p.total, bound)
+    base_member = brute_membership(p.base, bound)
+    total_member = brute_membership(p.total, bound)
     witnesses = []
     star_ok = True
     for x in sorted(tg.vertices - p.excluded, key=idkey):
@@ -278,14 +279,14 @@ def brute_validate_covering(p, bound: int) -> CoveringReport:
     lift_ok = True
     checked = skipped = 0
     for b in enumerate_routes(bg, bound):
-        if not brute_is_controlled(base_table, b):
+        if not base_member(b):
             continue
         fibre = sorted((x for x in tg.vertices if p.vmap[x] == b.start), key=idkey)
         for x0 in fibre:
             lift = _brute_lift(p, b, x0)
             if isinstance(lift, Route):
                 checked += 1
-                if not brute_is_controlled(total_table, lift):
+                if not total_member(lift):
                     lift_ok = False
                     witnesses.append(f"lift {lift} of {b} is not controlled")
             elif lift[0] == "off" and lift[1] in p.excluded:

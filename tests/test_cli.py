@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,13 @@ class TestCategoryCommands:
         rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == 3
         assert {"source", "target", "word", "size", "truncated"} <= set(rows[0])
+
+    def test_a_huge_bound_answers_at_once(self, ci_file):
+        started = time.perf_counter()
+        code, text = run_command(["pi1", ci_file, "--bound", "1000000000000000000"])
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert text.splitlines()[0] == "objects: 0,1; arrows: 3; preorder: yes; truncated: no"
 
     def test_hom_lists_class_representatives(self, ci_file):
         code, text = run_command(["hom", ci_file, "0", "1", "--bound", "2"])
@@ -318,6 +326,28 @@ class TestCovering:
         )
         assert code == 2
         assert "window" in text
+
+    @pytest.mark.parametrize("extra", [
+        ["a.json", "b.json"],
+        ["--vmap", "nofile"],
+        ["--emap", "nofile"],
+        ["--excluded=-2,2"],
+    ])
+    def test_exponential_takes_no_documents_or_maps(self, extra):
+        code, text = run_command(
+            ["cover-validate", *extra, "--exponential", "2", "--window", "3", "--bound", "2"]
+        )
+        assert (code, text) == (
+            2, "usage error: --exponential takes no TOTAL, BASE, --vmap, --emap or --excluded"
+        )
+
+    @pytest.mark.parametrize("command, extra", [
+        ("cover-validate", ["--bound", "2"]),
+        ("cover-bijection", ["--from", "0", "--to", "0", "--bound", "2"]),
+    ])
+    def test_window_needs_exponential(self, command, extra):
+        code, text = run_command([command, "a.json", "b.json", "--window", "3", *extra])
+        assert (code, text) == (2, "usage error: --window needs --exponential")
 
     def test_explicit_maps_from_files(self, tmp_path, circle_file):
         total = str(tmp_path / "line.ctop")

@@ -1,6 +1,8 @@
 """Covering maps: validation, unique lifting, and the hom-set bijection."""
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,14 +19,23 @@ from cspace import (
     circle_n_stop,
     exponential_cover,
     identity_cover,
+    full_substructure,
     idkey,
     interval_c,
+    interval_delayed_minus,
+    interval_delayed_plus,
     interval_j,
+    interval_reversible,
     lift_route,
     line_c,
+    product,
+    reflect_fl,
+    reflect_pf,
+    sum_complex,
     validate_covering,
 )
 from cspace.cli import run_command
+from cspace.covering import _generators_lift
 
 
 class TestCoveringMapConstruction:
@@ -248,6 +259,13 @@ def _stranded_fibre_cover():
                        {"e-1": "e0", "e0": "e0"}, excluded=frozenset({"-1", "1", "s"}))
 
 
+def _identity_map(total, base):
+    """The identity map from ``total`` onto ``base``, two complexes on
+    one graph."""
+    return CoveringMap(total, base, {v: v for v in total.graph.vertices},
+                       {e: e for e in total.graph.edge_ids})
+
+
 DIFFERENTIAL_COVERS = {
     "exponential-1-5": (lambda: exponential_cover(1, 5), 6),
     "exponential-3-6": (lambda: exponential_cover(3, 6), 6),
@@ -269,6 +287,27 @@ DIFFERENTIAL_COVERS = {
     "stranded-fibre-point": (_stranded_fibre_cover, 2),
     **{f"exponential-{n}-{w}-bound-{b}": (lambda n=n, w=w: exponential_cover(n, w), b)
        for n in range(1, 5) for w in (6, 8, 10) for b in range(9)},
+    # kinds without generators: the walk asks each word's antichain of the base
+    "identity-product": (
+        lambda: identity_cover(product(interval_c(), circle_n_stop(2))), 4),
+    "identity-flexible-part-of-product": (
+        lambda: identity_cover(reflect_fl(product(interval_delayed_minus(), interval_c()))), 3),
+    "identity-sum": (
+        lambda: identity_cover(sum_complex(interval_j(), circle_n_stop(1))), 3),
+    "identity-full-substructure": (
+        lambda: identity_cover(full_substructure(line_c(2), ["-1", "1"])), 4),
+    "identity-flexible-part-of-reversible-product": (
+        lambda: identity_cover(reflect_fl(product(interval_reversible(), interval_c()))), 3),
+    "delayed-over-its-preflexible-hull": (
+        lambda: _identity_map(interval_delayed_minus(), reflect_pf(interval_delayed_minus())), 3),
+    "delayed-product-over-product": (
+        lambda: _identity_map(product(interval_delayed_minus(), line_c(1)),
+                              product(interval_c(), line_c(1))), 3),
+    "product-over-delayed-product": (
+        lambda: _identity_map(product(interval_c(), line_c(1)),
+                              product(interval_delayed_plus(), line_c(1))), 3),
+    "reversible-over-its-flexible-part": (
+        lambda: _identity_map(interval_reversible(), reflect_fl(interval_reversible())), 3),
 }
 
 
@@ -332,6 +371,41 @@ class TestCertifiedValidation:
         assert report.valid and report.checked_lifts > 1000
         # 25 window vertices; only the lift from the window's end runs off
         assert len(asked) == whole == 24
+
+
+class TestOneLiftWalk:
+    """Certified or not, the lifts are checked by one walk over the base
+    words, whose state grows with the words walked, not with the bound."""
+
+    @pytest.mark.parametrize("name, certified", [
+        ("exponential-3-6", True), ("broken", False),
+        ("identity-product", False), ("delayed-product-over-product", False),
+    ])
+    def test_the_base_words_are_walked_once_per_vertex(self, monkeypatch, name, certified):
+        build, bound = DIFFERENTIAL_COVERS[name]
+        p = build()
+        assert _generators_lift(p, bound) == certified
+        entered = []
+        real = Graph.iter_words
+
+        def counted(graph, start, max_len):
+            entered.append((graph, start))
+            return real(graph, start, max_len)
+
+        monkeypatch.setattr(Graph, "iter_words", counted)
+        validate_covering(p, bound)
+        assert sorted(start for _, start in entered) == sorted(p.base.graph.vertices)
+        assert all(graph is p.base.graph for graph, _ in entered)
+
+    def test_a_bound_past_the_longest_word_costs_nothing(self):
+        p = identity_cover(interval_c())
+        started = time.perf_counter()
+        huge = validate_covering(p, 10**18)
+        assert time.perf_counter() - started < 1
+        small = validate_covering(p, 1)
+        assert huge.valid and huge.bound == 10**18
+        assert (huge.checked_lifts, huge.skipped_lifts) == (small.checked_lifts,
+                                                             small.skipped_lifts)
 
 
 def test_cli_text_of_a_large_exponential_audit():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import importlib
+import time
 import weakref
 
 import pytest
@@ -115,6 +116,32 @@ class TestCircleCategories:
     def test_loop_spaces_are_not_one_simple(self):
         assert not is_one_simple(circle_n_stop(1), 4)
         assert is_one_simple(interval_j(), 4)
+
+
+class TestBoundsPastTheLongestLabel:
+    """On an acyclic complex a bound past the longest path lists what the
+    longest path lists, at the cost of the labels, not of the bound."""
+
+    @staticmethod
+    def _listing(cat):
+        return [(a.index, a.source, a.target, a.rep, a.labels) for a in cat.arrows]
+
+    @pytest.mark.parametrize("build, longest", [(interval_j, 2), (lambda: line_c(2), 4)])
+    def test_a_huge_bound_lists_the_arrows_of_the_longest_path(self, build, longest):
+        X = build()
+        started = time.perf_counter()
+        huge = pi1(X, 10**18)
+        listing = self._listing(huge)
+        assert time.perf_counter() - started < 1
+        exact = pi1(build(), longest)
+        assert not huge.possibly_incomplete and huge.bound == 10**18
+        assert listing == self._listing(exact)
+        for x in exact.objects:
+            for y in exact.objects:
+                assert huge.hom(x, y) == exact.hom(x, y)
+        # the huge store answers smaller bounds too
+        for b in range(longest + 1):
+            assert self._listing(pi1(X, b)) == self._listing(pi1(build(), b))
 
 
 class TestComposition:
