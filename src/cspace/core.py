@@ -449,7 +449,10 @@ class Graph:
 
 
 def check_bound(bound: int) -> None:
-    """The input check every bounded procedure shares."""
+    """The input check every bounded procedure shares: a bound is a
+    nonnegative ``int``, and a ``bool`` is not one."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise StructureError("bound must be an integer")
     if bound < 0:
         raise StructureError("bound must be >= 0")
 

@@ -23,6 +23,13 @@ vertex.  Lifts commute with concatenation and a presented space is
 closed under it, so then every controlled base route within the bound
 lifts or runs off, and the walk only counts the lifts.  Otherwise it
 asks the total about each word's lifts and lists the witnesses.
+
+A cover is immutable, so it keeps what the audit decides.  The star and
+flexible-fibre facts are decided the first time the cover is asked.  The
+walk keeps, per word length, the running tallies and its witnesses tagged
+with their word's length: every bound up to the one walked is read from
+that lift store, and the cover is walked again, once, only for a larger
+bound when the last walk reached its own bound.
 """
 from __future__ import annotations
 
@@ -73,6 +80,10 @@ class CoveringMap:
     indexes the total edges at each vertex over each base edge and each
     fibre in ``idkey`` order; the covering conditions themselves are
     checked by ``validate_covering``.
+
+    The cover is immutable: the index (``_over``, ``_fibres``) and the
+    lift store ``validate_covering`` keeps (``_facts``, ``_lifts``) derive
+    from its maps, so neither the maps nor these may be mutated.
     """
 
     total: ControlledComplex
@@ -115,6 +126,10 @@ class CoveringMap:
             raise StructureError("excluded set mentions unknown vertices")
         object.__setattr__(self, "_fibres", fibres)
         object.__setattr__(self, "_over", over)
+        # the lift store: (star_ok, flexible_ok, their witnesses) once asked,
+        # and (bound walked, tallies, tagged witnesses) from _walk_lifts
+        object.__setattr__(self, "_facts", None)
+        object.__setattr__(self, "_lifts", (-1, [], []))
 
     def fibre(self, y: VertexId) -> tuple[VertexId, ...]:
         return self._fibres.get(y, ())
@@ -228,10 +243,34 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     the generator certificate holds (``_generators_lift``), every controlled
     base route within the bound lifts or runs off at an excluded vertex, so
     the walk asks the total space nothing; otherwise it lists the witnesses.
-    The walk keeps one entry per word length it reaches, so a bound past
-    the base's longest word costs nothing more.
+
+    The cover keeps the bound-free facts and the walk's per-length tallies
+    and tagged witnesses, so a bound up to the one walked is read from them
+    without walking.  A larger bound walks again, once, only when the last
+    walk reached its own bound: a walk that stopped short of it has walked
+    every word of the base, so a bound past the longest word costs nothing.
     """
     check_bound(bound)
+    if p._facts is None:
+        object.__setattr__(p, "_facts", _star_and_flexible(p))
+    star_ok, flexible_ok, witnesses = p._facts
+    walked, tallies, tagged = p._lifts
+    if walked < bound and len(tallies) > walked:
+        walked, tallies, tagged = bound, *_walk_lifts(p, bound)
+        object.__setattr__(p, "_lifts", (walked, tallies, tagged))
+    # tallies[c] covers the words of length <= c; an empty base has none
+    lift_ok, checked, skipped = tallies[min(bound, len(tallies) - 1)] if tallies else (True, 0, 0)
+    valid = star_ok and lift_ok and flexible_ok
+    return CoveringReport(
+        valid, star_ok, lift_ok, flexible_ok, bound, p.excluded, checked, skipped,
+        (*witnesses, *(w for c, w in tagged if c <= bound)),
+    )
+
+
+def _star_and_flexible(p: CoveringMap) -> tuple[bool, bool, tuple[str, ...]]:
+    """The bound-free conditions: whether every star outside the excluded
+    vertices bijects, whether the flexible vertices upstairs are the
+    flexible fibres, and their witnesses."""
     tg, bg = p.total.graph, p.base.graph
     witnesses: list[str] = []
 
@@ -257,13 +296,7 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     }
     if not flexible_ok:
         witnesses.append("flexible vertices upstairs are not the flexible fibres")
-
-    lift_ok, checked, skipped = _walk_lifts(p, bound, witnesses)
-    valid = star_ok and lift_ok and flexible_ok
-    return CoveringReport(
-        valid, star_ok, lift_ok, flexible_ok, bound, p.excluded,
-        checked, skipped, tuple(witnesses),
-    )
+    return star_ok, flexible_ok, tuple(witnesses)
 
 
 def _generators_lift(p: CoveringMap, bound: int) -> bool:
@@ -308,12 +341,17 @@ def _generators_lift(p: CoveringMap, bound: int) -> bool:
     return True
 
 
-def _walk_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool, int, int]:
-    """The lift condition over every base word up to the bound, with
-    witnesses appended in route enumeration order: whether it holds, and
-    the checked and skipped counts, one per controlled decoration and fibre
-    point.  ``enumerate_words`` lists the words from each base vertex, a
-    prefix before its extensions, so the walk carries per length the prefix
+def _walk_lifts(
+    p: CoveringMap, bound: int
+) -> tuple[list[tuple[bool, int, int]], list[tuple[int, str]]]:
+    """The lift condition over every base word up to the bound, kept per
+    word length: ``tallies[c]`` is whether it holds and the checked and
+    skipped counts, one per controlled decoration and fibre point, over
+    the words of length <= c, for each length c the walk reaches; the
+    witnesses come in route enumeration order, each tagged with its word's
+    length.  ``enumerate_words`` lists the words from each base vertex, a
+    prefix before its extensions, so the words up to a smaller bound come
+    in the same order, and the walk carries per length the prefix
     antichains (one ``PresentedComplex._dwell_step`` per word over a
     presented base) and the vertices of the lifts still whole, one index
     step per lift and edge.  Under the generator certificate the whole
@@ -322,16 +360,20 @@ def _walk_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool,
     monotone in them, so the total is asked about each whole lift at the
     word's minimal dwell sets; a word whose lifts fail is replayed
     decoration by decoration, and only the routes named in a witness are
-    built."""
+    built.  A word's counts and witnesses do not depend on the bound: the
+    certificate holds only where every word's lifts pass, and then both
+    branches count the same."""
     base, total, excluded = p.base, p.total, p.excluded
     certified = _generators_lift(p, bound)
     step = base._dwell_step if isinstance(base, PresentedComplex) else None
     over, dst = p._over, total.graph.dst
-    lift_ok = True
-    checked = skipped = 0
+    per_length: list[list] = []  # [lift_ok, checked, skipped] per word length
+    tagged: list[tuple[int, str]] = []
     memo: dict = {}
     for start, word, end in enumerate_words(base.graph, bound):
         c = len(word)
+        if c == len(per_length):
+            per_length.append([True, 0, 0])
         if c:
             f = word[-1]
             # a list: tuple() over a generator allocates a fresh tuple each
@@ -349,9 +391,10 @@ def _walk_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool,
         if not got:
             continue
         decorations = _upset_size(got, _dwell_width(c))
+        tally = per_length[c]
         if certified:
-            checked += decorations * len(lifted)
-            skipped += decorations * (len(fibre) - len(lifted))
+            tally[1] += decorations * len(lifted)
+            tally[2] += decorations * (len(fibre) - len(lifted))
             continue
         lifts_of = [(x0, *_lift(p, x0, word)) for x0 in fibre]
         whole = [(x0, edges, x) for x0, edges, x, count in lifts_of if count == 1]
@@ -360,31 +403,35 @@ def _walk_lifts(p: CoveringMap, bound: int, witnesses: list[str]) -> tuple[bool,
             total._accepts(x0, edges, x, need, memo)
             for x0, edges, x in whole for need in got
         ):
-            skipped += decorations * off
-            checked += decorations * len(whole)
+            tally[1] += decorations * len(whole)
+            tally[2] += decorations * off
             continue
-        lift_ok = False
+        tally[0] = False
         for mask in _dwell_masks(c):
             if not _satisfies(mask, got):
                 continue
             for x0, edges, x, count in lifts_of:
                 if count == 1:
-                    checked += 1
+                    tally[1] += 1
                     if not total._accepts(x0, edges, x, mask, memo):
                         dwells = _positions(mask)
-                        witnesses.append(
+                        tagged.append((c, (
                             f"lift {Route(x0, x, edges, dwells)} of "
                             f"{Route(start, end, word, dwells)} is not controlled"
-                        )
+                        )))
                 elif count > 1:
-                    witnesses.append(_stuck(p, x, count, word[len(edges)]))
+                    tagged.append((c, _stuck(p, x, count, word[len(edges)])))
                 elif x in excluded:
-                    skipped += 1
+                    tally[2] += 1
                 else:
-                    witnesses.append(
+                    tagged.append((c, (
                         f"no edge over {render_id(word[len(edges)])} at {render_id(x)}"
-                    )
-    return lift_ok, checked, skipped
+                    )))
+    tallies, ok, checked, skipped = [], True, 0, 0
+    for ok_c, checked_c, skipped_c in per_length:
+        ok, checked, skipped = ok and ok_c, checked + checked_c, skipped + skipped_c
+        tallies.append((ok, checked, skipped))
+    return tallies, tagged
 
 
 @dataclass(frozen=True)

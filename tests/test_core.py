@@ -13,7 +13,9 @@ from cspace import (
     Route,
     StructureError,
     border_flexibility,
+    check_lifting_bijection,
     check_middle_restriction,
+    exponential_cover,
     has_total_path_support,
     idkey,
     is_border_flexible,
@@ -22,6 +24,7 @@ from cspace import (
     is_preflexible,
     oracle_equivalent,
     path_support,
+    pi1,
     preflexibility,
     reflect_bf,
     reflect_dhat,
@@ -29,6 +32,7 @@ from cspace import (
     reflect_pf,
     route_concat,
     route_insert_dwell,
+    validate_covering,
 )
 from cspace.spaces import diagonal_square, interval_c, line_c, rigid_line
 
@@ -348,6 +352,19 @@ class TestOracleComparison:
             lambda: oracle_equivalent(ci, ci, -1),
         ):
             with pytest.raises(StructureError, match="bound must be >= 0"):
+                call()
+
+    @pytest.mark.parametrize("bound", [2.5, True])
+    def test_bounds_that_are_not_integers_are_rejected_everywhere(self, bound):
+        p = exponential_cover(2, 6)
+        for call in (
+            lambda: pi1(line_c(2), bound),
+            lambda: validate_covering(p, bound),
+            lambda: preflexibility(line_c(2), bound),
+            lambda: check_middle_restriction(line_c(2), bound),
+            lambda: check_lifting_bijection(p, "0", "0", bound),
+        ):
+            with pytest.raises(StructureError, match="bound must be an integer"):
                 call()
 
     def test_structure_errors_name_the_missing_presentation(self, ci, cj):

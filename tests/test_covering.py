@@ -1,6 +1,7 @@
 """Covering maps: validation, unique lifting, and the hom-set bijection."""
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -406,6 +407,91 @@ class TestOneLiftWalk:
         assert huge.valid and huge.bound == 10**18
         assert (huge.checked_lifts, huge.skipped_lifts) == (small.checked_lifts,
                                                              small.skipped_lifts)
+
+
+LIFT_STORE_COVERS = {
+    **DIFFERENTIAL_COVERS,
+    **{f"exponential-{n}-{w}": (lambda n=n, w=w: exponential_cover(n, w), 9)
+       for n in range(1, 5) for w in (6, 8, 10)},
+}
+
+
+class TestLiftStore:
+    """A cover keeps what its audit decided: every bound up to the one
+    walked is read from the lift store, and a larger bound walks again only
+    when the last walk reached its own bound."""
+
+    @staticmethod
+    def _count_walks(monkeypatch, p):
+        """Record each ``Graph.iter_words`` call and each question to the
+        total space made through the cover."""
+        walks, asked = [], []
+        iter_words, accepts = Graph.iter_words, p.total._accepts
+
+        def counted_walk(graph, start, max_len):
+            walks.append((graph, start))
+            return iter_words(graph, start, max_len)
+
+        def counted_accepts(*args):
+            asked.append(args)
+            return accepts(*args)
+
+        monkeypatch.setattr(Graph, "iter_words", counted_walk)
+        monkeypatch.setattr(p.total, "_accepts", counted_accepts)
+        return walks, asked
+
+    @pytest.mark.parametrize("name", sorted(LIFT_STORE_COVERS))
+    def test_any_order_of_asking_matches_fresh_covers(self, name):
+        build, bound = LIFT_STORE_COVERS[name]
+        bounds = list(range(bound + 3))
+        fresh = {b: validate_covering(build(), b) for b in bounds}
+        shuffled = bounds[:]
+        random.Random(name).shuffle(shuffled)
+        for order in (bounds, bounds[::-1], shuffled):
+            p = build()
+            for b in order:
+                assert validate_covering(p, b) == fresh[b], (order, b)
+
+    @pytest.mark.parametrize("name", ["exponential-3-6", "broken", "identity-product"])
+    def test_a_repeated_or_smaller_bound_walks_nothing(self, monkeypatch, name):
+        build, bound = DIFFERENTIAL_COVERS[name]
+        p = build()
+        first = validate_covering(p, bound)
+        walks, asked = self._count_walks(monkeypatch, p)
+        assert validate_covering(p, bound) == first
+        for b in range(bound):
+            validate_covering(p, b)
+        assert walks == [] and asked == []
+
+    def test_a_larger_bound_on_a_cyclic_base_walks_once_more(self, monkeypatch):
+        fresh = validate_covering(exponential_cover(3, 6), 5)
+        p = exponential_cover(3, 6)
+        validate_covering(p, 4)
+        walks, _ = self._count_walks(monkeypatch, p)
+        report = validate_covering(p, 6)
+        assert sorted(start for _, start in walks) == sorted(p.base.graph.vertices)
+        assert all(graph is p.base.graph for graph, _ in walks)
+        walks.clear()
+        assert validate_covering(p, 5) == fresh
+        assert validate_covering(p, 6) == report
+        assert walks == []
+
+    def test_a_bound_past_an_acyclic_base_walks_nothing_more(self, monkeypatch):
+        p = identity_cover(interval_c())
+        validate_covering(p, 3)
+        walks, asked = self._count_walks(monkeypatch, p)
+        huge = validate_covering(p, 10**18)
+        assert walks == [] and asked == []
+        assert huge == validate_covering(identity_cover(interval_c()), 10**18)
+        assert huge.valid and huge.bound == 10**18
+
+    def test_an_empty_base_walks_once_and_checks_nothing(self, monkeypatch):
+        p = identity_cover(PresentedComplex(Graph([], {}), set()))
+        assert validate_covering(p, 0).valid
+        walks, _ = self._count_walks(monkeypatch, p)
+        report = validate_covering(p, 3)
+        assert report.valid and walks == []
+        assert (report.checked_lifts, report.skipped_lifts, report.witnesses) == (0, 0, ())
 
 
 def test_cli_text_of_a_large_exponential_audit():
