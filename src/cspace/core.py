@@ -48,7 +48,7 @@ predicates built on them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 VertexId = Hashable
@@ -741,20 +741,15 @@ class PresentedComplex(ControlledComplex):
             return frozenset({0}) if start in self._flexible else frozenset()
         n = len(word)
         needs: list[frozenset[int]] = [frozenset({0})] + [frozenset()] * n
+        ending = self._ending
         for c in range(1, n + 1):
-            needs[c] = self._dwell_step(word, c, needs)
+            found: set[int] = set()
+            for k, g, need in ending.get(word[c - 1], ()):
+                p = c - k
+                if p >= 0 and needs[p] and word[p:c] == g:
+                    found.update(a | need << p for a in needs[p])
+            needs[c] = _minimal(found)
         return needs[n]
-
-    def _dwell_step(self, word: Word, c: int, needs: Sequence[frozenset[int]]) -> frozenset[int]:
-        """One step of the antichain DP: the minimal dwell sets of the
-        splits of ``word[:c]``, from ``needs[p]``, those of ``word[:p]``
-        for each p < c (``needs[0]`` is ``{0}``, the empty split)."""
-        found: set[int] = set()
-        for k, g, need in self._ending.get(word[c - 1], ()):
-            p = c - k
-            if p >= 0 and needs[p] and word[p:c] == g:
-                found.update(a | need << p for a in needs[p])
-        return _minimal(found)
 
     def flexibility_witness(self) -> str | None:
         return super().flexibility_witness() or _generator_witness(self)

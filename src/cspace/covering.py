@@ -12,17 +12,11 @@ spaces of exponential covers, so window boundary vertices are excluded
 from the star condition and lifts that run off through them are counted
 as skipped rather than failed.
 
-One walk over the base words up to the bound checks the lift condition,
-carrying each prefix's minimal dwell sets and the fibre points' lifts.
-When base and total are both presented, a finite certificate decides
-whether the walk asks the total space anything: every fibre point over
-a flexible base vertex is flexible upstairs, and every base generator
-within the bound, lifted from every fibre point over its start, is
-controlled upstairs with its own dwells or runs off at an excluded
-vertex.  Lifts commute with concatenation and a presented space is
-closed under it, so then every controlled base route within the bound
-lifts or runs off, and the walk only counts the lifts.  Otherwise it
-asks the total about each word's lifts and lists the witnesses.
+One walk over the base words up to the bound checks the lift condition.
+Lifting ignores dwells and membership is monotone in them, so each base
+word is lifted once per fibre point and the total is asked about each
+whole lift only at the word's minimal dwell sets; a word whose lifts
+fail is replayed decoration by decoration to list the witnesses.
 
 A cover is immutable, so it keeps what the audit decides.  The star and
 flexible-fibre facts are decided the first time the cover is asked.  The
@@ -39,14 +33,12 @@ from dataclasses import dataclass
 from .core import (
     ControlledComplex,
     EdgeId,
-    PresentedComplex,
     Route,
     StructureError,
     VertexId,
     Word,
     _dwell_masks,
     _dwell_width,
-    _mask,
     _positions,
     _satisfies,
     _upset_size,
@@ -239,10 +231,9 @@ def validate_covering(p: CoveringMap, bound: int) -> CoveringReport:
     up to the bound from every fibre point.  Lifts that run off through
     an excluded vertex are skipped, not failed.
 
-    One walk over the base words (``_walk_lifts``) checks the lifts.  When
-    the generator certificate holds (``_generators_lift``), every controlled
-    base route within the bound lifts or runs off at an excluded vertex, so
-    the walk asks the total space nothing; otherwise it lists the witnesses.
+    One walk over the base words (``_walk_lifts``) checks the lifts,
+    asking the total space about each whole lift of a base word at the
+    word's minimal dwell sets, and lists the witnesses of a word that fails.
 
     The cover keeps the bound-free facts and the walk's per-length tallies
     and tagged witnesses, so a bound up to the one walked is read from them
@@ -299,48 +290,6 @@ def _star_and_flexible(p: CoveringMap) -> tuple[bool, bool, tuple[str, ...]]:
     return star_ok, flexible_ok, tuple(witnesses)
 
 
-def _generators_lift(p: CoveringMap, bound: int) -> bool:
-    """The generator certificate for the lift condition at ``bound``.
-
-    It applies when base and total are both presented, and holds iff
-    every fibre point over a flexible base vertex is flexible upstairs,
-    and every base generator of length <= bound, lifted from every fibre
-    point over its start, is controlled upstairs with the generator's own
-    dwells or runs off at an excluded vertex.
-
-    Then every controlled base route of length <= bound lifts to a
-    controlled route or runs off at an excluded vertex.  A nonempty
-    controlled route splits into generator words, each of length <= bound,
-    whose dwells, shifted to where each starts, lie in the route's dwells.
-    Lifts are unique and commute with concatenation, so the lift from x0
-    is the concatenation of the generators' lifts, each from a fibre point
-    over that generator's start, up to where it stops.  A lift that stops
-    stops inside one generator's lift, which therefore runs off at an
-    excluded vertex.  A whole lift is a concatenation of controlled
-    generator lifts, and a presented total accepts any concatenation of
-    accepted pieces, and any larger dwell set, so it is controlled with
-    the route's dwells, which lift verbatim.  An empty route is controlled
-    iff its vertex is flexible, and its lifts are the constants over it,
-    flexible upstairs by the first condition."""
-    base, total = p.base, p.total
-    if not (isinstance(base, PresentedComplex) and isinstance(total, PresentedComplex)):
-        return False
-    if any(x not in total.flexible for y in base.flexible for x in p.fibre(y)):
-        return False
-    for g in base.generators:
-        if not g.edges or len(g.edges) > bound:
-            continue
-        dwells = _mask(g.dwells)
-        for x0 in p.fibre(g.start):
-            edges, x, count = _lift(p, x0, g.edges)
-            if count == 1:
-                if not total._accepts(x0, edges, x, dwells, {}):
-                    return False
-            elif count or x not in p.excluded:
-                return False
-    return True
-
-
 def _walk_lifts(
     p: CoveringMap, bound: int
 ) -> tuple[list[tuple[bool, int, int]], list[tuple[int, str]]]:
@@ -351,22 +300,14 @@ def _walk_lifts(
     witnesses come in route enumeration order, each tagged with its word's
     length.  ``enumerate_words`` lists the words from each base vertex, a
     prefix before its extensions, so the words up to a smaller bound come
-    in the same order, and the walk carries per length the prefix
-    antichains (one ``PresentedComplex._dwell_step`` per word over a
-    presented base) and the vertices of the lifts still whole, one index
-    step per lift and edge.  Under the generator certificate the whole
-    lifts are checked and the stuck ones, which all run off at excluded
-    vertices, skipped.  Otherwise lifting ignores dwells and membership is
-    monotone in them, so the total is asked about each whole lift at the
-    word's minimal dwell sets; a word whose lifts fail is replayed
-    decoration by decoration, and only the routes named in a witness are
-    built.  A word's counts and witnesses do not depend on the bound: the
-    certificate holds only where every word's lifts pass, and then both
-    branches count the same."""
+    in the same order, and a word's counts and witnesses do not depend on
+    the bound.  Lifting ignores dwells and membership is monotone in them,
+    so each word is lifted once per fibre point and the total is asked
+    about each whole lift only at the word's minimal dwell sets: when all
+    pass, every controlled decoration of every whole lift is controlled.
+    A word whose lifts fail is replayed decoration by decoration, and only
+    the routes named in a witness are built."""
     base, total, excluded = p.base, p.total, p.excluded
-    certified = _generators_lift(p, bound)
-    step = base._dwell_step if isinstance(base, PresentedComplex) else None
-    over, dst = p._over, total.graph.dst
     per_length: list[list] = []  # [lift_ok, checked, skipped] per word length
     tagged: list[tuple[int, str]] = []
     memo: dict = {}
@@ -374,43 +315,26 @@ def _walk_lifts(
         c = len(word)
         if c == len(per_length):
             per_length.append([True, 0, 0])
-        if c:
-            f = word[-1]
-            # a list: tuple() over a generator allocates a fresh tuple each
-            # time, and the freed ones pile up on CPython's tuple free lists
-            lifted = [dst(up[0]) for x in lifts[c - 1] if len(up := over.get((x, f), ())) == 1]
-            got = step(word, c, needs) if step else base._minimal_dwells(start, word, end)
-            needs[c:] = [got]
-            lifts[c:] = [lifted]
-        else:
-            # a new base vertex; per length, the prefixes of the word walked:
-            # needs[0] is the empty split of the DP, not the empty word's antichain
-            fibre = lifted = p.fibre(start)
-            needs, lifts = [frozenset({0})], [fibre]
-            got = base._minimal_dwells(start, word, end)
-        if not got:
+        needs = base._minimal_dwells(start, word, end)
+        if not needs:
             continue
-        decorations = _upset_size(got, _dwell_width(c))
         tally = per_length[c]
-        if certified:
-            tally[1] += decorations * len(lifted)
-            tally[2] += decorations * (len(fibre) - len(lifted))
-            continue
-        lifts_of = [(x0, *_lift(p, x0, word)) for x0 in fibre]
-        whole = [(x0, edges, x) for x0, edges, x, count in lifts_of if count == 1]
-        off = sum(count == 0 and x in excluded for _, _, x, count in lifts_of)
-        if len(whole) + off == len(lifts_of) and all(
+        lifts = [(x0, *_lift(p, x0, word)) for x0 in p.fibre(start)]
+        whole = [(x0, edges, x) for x0, edges, x, count in lifts if count == 1]
+        off = sum(count == 0 and x in excluded for _, _, x, count in lifts)
+        if len(whole) + off == len(lifts) and all(
             total._accepts(x0, edges, x, need, memo)
-            for x0, edges, x in whole for need in got
+            for x0, edges, x in whole for need in needs
         ):
+            decorations = _upset_size(needs, _dwell_width(c))
             tally[1] += decorations * len(whole)
             tally[2] += decorations * off
             continue
         tally[0] = False
         for mask in _dwell_masks(c):
-            if not _satisfies(mask, got):
+            if not _satisfies(mask, needs):
                 continue
-            for x0, edges, x, count in lifts_of:
+            for x0, edges, x, count in lifts:
                 if count == 1:
                     tally[1] += 1
                     if not total._accepts(x0, edges, x, mask, memo):

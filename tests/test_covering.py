@@ -18,6 +18,7 @@ from cspace import (
     StructureError,
     check_lifting_bijection,
     circle_n_stop,
+    enumerate_words,
     exponential_cover,
     identity_cover,
     full_substructure,
@@ -29,6 +30,7 @@ from cspace import (
     interval_reversible,
     lift_route,
     line_c,
+    minimal_dwell_sets,
     product,
     reflect_fl,
     reflect_pf,
@@ -36,7 +38,6 @@ from cspace import (
     validate_covering,
 )
 from cspace.cli import run_command
-from cspace.covering import _generators_lift
 
 
 class TestCoveringMapConstruction:
@@ -346,46 +347,16 @@ class TestValidationAgainstTheBruteAudit:
         assert validate_covering(p, 3) == brute_validate_covering(p, 3)
 
 
-class TestCertifiedValidation:
-    """When the generators lift, the audit counts lifts without asking the
-    total space about any base word."""
-
-    def test_the_total_is_asked_only_about_generator_lifts(self, monkeypatch):
-        p = exponential_cover(3, 12)
-        whole = 0
-        for g in p.base.generators:
-            for x0 in p.fibre(g.start):
-                try:
-                    lift_route(p, g, x0)
-                except StructureError:
-                    continue
-                whole += 1
-        asked = []
-        real = p.total._accepts
-
-        def counted(*args):
-            asked.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(p.total, "_accepts", counted)
-        report = validate_covering(p, 9)
-        assert report.valid and report.checked_lifts > 1000
-        # 25 window vertices; only the lift from the window's end runs off
-        assert len(asked) == whole == 24
-
-
 class TestOneLiftWalk:
-    """Certified or not, the lifts are checked by one walk over the base
-    words, whose state grows with the words walked, not with the bound."""
+    """The lifts are checked by one walk over the base words, whose state
+    grows with the words walked, not with the bound."""
 
-    @pytest.mark.parametrize("name, certified", [
-        ("exponential-3-6", True), ("broken", False),
-        ("identity-product", False), ("delayed-product-over-product", False),
+    @pytest.mark.parametrize("name", [
+        "exponential-3-6", "broken", "identity-product", "delayed-product-over-product",
     ])
-    def test_the_base_words_are_walked_once_per_vertex(self, monkeypatch, name, certified):
+    def test_the_base_words_are_walked_once_per_vertex(self, monkeypatch, name):
         build, bound = DIFFERENTIAL_COVERS[name]
         p = build()
-        assert _generators_lift(p, bound) == certified
         entered = []
         real = Graph.iter_words
 
@@ -397,6 +368,38 @@ class TestOneLiftWalk:
         validate_covering(p, bound)
         assert sorted(start for _, start in entered) == sorted(p.base.graph.vertices)
         assert all(graph is p.base.graph for graph, _ in entered)
+
+    @pytest.mark.parametrize("build, bound", [
+        (lambda: exponential_cover(3, 12), 9), DIFFERENTIAL_COVERS["exponential-3-6"],
+    ], ids=["exponential-3-12", "exponential-3-6"])
+    def test_a_valid_cover_asks_each_whole_lift_once_per_minimal_dwell_set(
+        self, monkeypatch, build, bound
+    ):
+        """Membership is monotone in the dwells, so a passing word's lifts
+        are asked only at the word's minimal dwell sets, never decoration
+        by decoration, and never twice."""
+        p = build()
+        expected = []
+        for start, word, end in enumerate_words(p.base.graph, bound):
+            needs = minimal_dwell_sets(p.base, start, word)
+            for x0 in p.fibre(start):
+                try:
+                    lift = lift_route(p, Route(start, end, word), x0)
+                except StructureError:
+                    continue
+                expected += [(x0, lift.edges, need) for need in needs]
+        asked = []
+        real = p.total._accepts
+
+        def counted(x0, edges, x, dwells, memo):
+            asked.append((x0, edges, frozenset(i for i in range(len(edges) + 1)
+                                               if dwells >> i & 1)))
+            return real(x0, edges, x, dwells, memo)
+
+        monkeypatch.setattr(p.total, "_accepts", counted)
+        assert validate_covering(p, bound).valid
+        assert len(asked) == len(set(asked))
+        assert sorted(asked, key=repr) == sorted(expected, key=repr)
 
     def test_a_bound_past_the_longest_word_costs_nothing(self):
         p = identity_cover(interval_c())
