@@ -10,16 +10,19 @@ table: a product route through both of its projections, a flexible-part
 route through every one of its sub-routes.  The covering audit decides
 every decoration of every base route through that membership, for
 every kind of complex, sharing only the route enumeration with the
-package.  Property tests compare the package's
+package.  The lifting-bijection audit classifies lifts through the
+brute arrow classes of both sides.  Property tests compare the package's
 answers against these.
 """
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 from cspace import (
     ControlledComplex,
     CoveringReport,
+    LiftingBijectionReport,
     Route,
     enumerate_routes,
     idkey,
@@ -299,3 +302,69 @@ def brute_validate_covering(p, bound: int) -> CoveringReport:
     return CoveringReport(
         star_ok and lift_ok and flexible_ok, star_ok, lift_ok, flexible_ok, bound,
         p.excluded, checked, skipped, tuple(witnesses))
+
+
+@lru_cache(maxsize=4)
+def _components(X: ControlledComplex, bound: int) -> tuple:
+    """``brute_pi1_components`` of X at the bound, each class as its
+    least label and its labels, kept for the few complexes asked last."""
+    return tuple((min(block, key=_label_order), block)
+                 for block in brute_pi1_components(X, bound))
+
+
+def _label_order(label) -> tuple:
+    """Least labels first: by length, then edge by edge by ``idkey``."""
+    return len(label[1]), tuple(idkey(e) for e in label[1])
+
+
+def _end(X: ControlledComplex, label):
+    return _visited(X, *label)[-1]
+
+
+def brute_lifting_bijection(p, x0, y, bound: int) -> LiftingBijectionReport:
+    """The hom-set bijection audit from the brute arrow classes of both
+    sides: each base class out of vmap[x0] into y, in order of its least
+    label, is lifted from x0 by ``_brute_lift`` and matched to the brute
+    class upstairs holding the lift; every class out of x0 into a fibre
+    point of y that no base class lifts to is a witness, fibre point by
+    fibre point in ``idkey`` order."""
+    tg = p.total.graph
+    fibre = tuple(sorted((x for x in tg.vertices if p.vmap[x] == y), key=idkey))
+    base = sorted(((rep, block) for rep, block in _components(p.base, bound)
+                   if rep[0] == p.vmap[x0] and _end(p.base, rep) == y),
+                  key=lambda c: _label_order(c[0]))
+    upstairs = _components(p.total, bound)
+    class_of = {label: (rep, block) for rep, block in upstairs for label in block}
+    witnesses, pairs, hit = [], [], {}
+    for (start, word), _ in base:
+        b = Route(start, y, word)
+        lift = _brute_lift(p, b, x0)
+        if not isinstance(lift, Route):
+            why = lift[1] if lift[0] == "many" else (
+                f"lift runs off at {'window boundary ' if lift[1] in p.excluded else ''}"
+                f"{render_id(lift[1])}: no edge over {render_id(lift[2])}")
+            witnesses.append(f"cannot lift {b}: {why}")
+            continue
+        found = class_of.get((x0, lift.edges))
+        if found is None:
+            witnesses.append(f"lift {lift} is not realizable upstairs")
+            continue
+        key = (lift.end, found[1])
+        if key in hit:
+            witnesses.append(f"classes of {hit[key]} and {b} lift to one class upstairs")
+        hit[key] = b
+        pairs.append((b, lift.end, Route(x0, lift.end, found[0][1])))
+    total_classes = 0
+    for x in fibre:
+        for rep, block in sorted(((rep, block) for rep, block in upstairs
+                                  if rep[0] == x0 and _end(p.total, rep) == x),
+                                 key=lambda c: _label_order(c[0])):
+            total_classes += 1
+            if (x, block) not in hit:
+                t = Route(x0, x, rep[1])
+                down = Route(p.vmap[x0], y, tuple(p.emap[e] for e in rep[1]))
+                witnesses.append(
+                    f"total class of {t} (projects to {down}) is never lifted to")
+    return LiftingBijectionReport(
+        not witnesses, x0, y, fibre, len(base), total_classes, tuple(pairs),
+        tuple(witnesses))

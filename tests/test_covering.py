@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_validate_covering
+from oracles import brute_lifting_bijection, brute_validate_covering
 from strategies import presented_complexes, routes_on
 from cspace import (
     CoveringMap,
@@ -410,6 +410,23 @@ class TestOneLiftWalk:
         assert huge.valid and huge.bound == 10**18
         assert (huge.checked_lifts, huge.skipped_lifts) == (small.checked_lifts,
                                                              small.skipped_lifts)
+
+
+class TestLiftingBijectionAgainstTheBruteAudit:
+    """Bijection reports equal the audit through the brute arrow classes,
+    the order of pairs and witnesses included."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_COVERS))
+    def test_reports_match_field_for_field(self, name):
+        build, bound = DIFFERENTIAL_COVERS[name]
+        p = build()
+        starts = sorted(p.total.flexible, key=idkey)
+        targets = sorted(p.base.flexible, key=idkey)
+        for b in range(bound + 2):
+            for x0 in starts:
+                for y in targets:
+                    assert check_lifting_bijection(p, x0, y, b) == \
+                        brute_lifting_bijection(p, x0, y, b), (x0, y, b)
 
 
 LIFT_STORE_COVERS = {
