@@ -4,8 +4,9 @@ A covering map sends vertices and edges of a total complex onto a base
 complex so that every vertex star maps bijectively, every controlled base
 route lifts to a controlled total route from any fibre point, and the
 flexible vertices upstairs are exactly the fibres of the flexible
-vertices downstairs.  Lifting is edge-by-edge and unique; dwells lift
-verbatim.
+vertices downstairs.  Lifting is edge-by-edge and unique, one lookup
+per step in an index that holds each edge with its destination; dwells
+lift verbatim.
 
 Finite windows of the controlled line stand in for the infinite total
 spaces of exponential covers, so window boundary vertices are excluded
@@ -23,7 +24,8 @@ flexible-fibre facts are decided the first time the cover is asked.  The
 walk keeps, per word length, the running tallies and its witnesses tagged
 with their word's length: every bound up to the one walked is read from
 that lift store, and the cover is walked again, once, only for a larger
-bound when the last walk reached its own bound.
+bound when the last walk reached its own bound.  The hom-set bijection
+audit reads both categories on label numbers, as pi1's audits do.
 """
 from __future__ import annotations
 
@@ -69,9 +71,9 @@ class CoveringMap:
     ``excluded`` lists total-space vertices (window boundaries) exempt
     from the star condition.  Construction checks the maps are total,
     have no key outside the total space and commute with endpoints, and
-    indexes the total edges at each vertex over each base edge and each
-    fibre in ``idkey`` order; the covering conditions themselves are
-    checked by ``validate_covering``.
+    indexes each fibre and, at each vertex over each base edge, the total
+    edges as ``(edge, destination)`` pairs, both in ``idkey`` order; the
+    covering conditions themselves are checked by ``validate_covering``.
 
     The cover is immutable: the index (``_over``, ``_fibres``) and the
     lift store ``validate_covering`` keeps (``_facts``, ``_lifts``) derive
@@ -96,20 +98,21 @@ class CoveringMap:
             if self.vmap[v] not in bg.vertices:
                 raise StructureError(f"vmap sends {render_id(v)} outside the base")
             fibres[self.vmap[v]] = fibres.get(self.vmap[v], ()) + (v,)
-        # (total vertex, base edge) -> the total edges out of it over that edge
-        over: dict[tuple[VertexId, EdgeId], tuple[EdgeId, ...]] = {}
+        # (total vertex, base edge) -> (edge, destination) of each total
+        # edge out of it over that edge
+        over: dict[tuple[VertexId, EdgeId], tuple[tuple[EdgeId, VertexId], ...]] = {}
         for e in tg.edge_ids:
             if e not in self.emap:
                 raise StructureError(f"emap misses edge {render_id(e)}")
             img = self.emap[e]
             if not bg.has_edge(img):
                 raise StructureError(f"emap sends {render_id(e)} outside the base")
-            src = tg.src(e)
-            if self.vmap[src] != bg.src(img) or self.vmap[tg.dst(e)] != bg.dst(img):
+            src, dst = tg.endpoints(e)
+            if self.vmap[src] != bg.src(img) or self.vmap[dst] != bg.dst(img):
                 raise StructureError(
                     f"emap does not commute with endpoints at {render_id(e)}"
                 )
-            over[src, img] = over.get((src, img), ()) + (e,)
+            over[src, img] = over.get((src, img), ()) + ((e, dst),)
         for name, keys, ids, noun in (("vmap", self.vmap, tg.vertices, "vertex"),
                                       ("emap", self.emap, tg.edge_ids, "edge")):
             if stray := sorted(keys.keys() - ids, key=idkey):
@@ -169,15 +172,15 @@ def _lift(p: CoveringMap, x0: VertexId, word: Word) -> tuple[Word, VertexId, int
     lift stopped at that vertex before ``word[len(edges)]``, and the count
     is how many total edges lie over that base edge there: 0 when the lift
     runs off, more when it is not unique."""
-    over, dst = p._over, p.total.graph.dst
+    over = p._over
     x = x0
     edges: list[EdgeId] = []
-    for f in word:
-        above = over.get((x, f), ())
-        if len(above) != 1:
-            return tuple(edges), x, len(above)
-        edges.append(above[0])
-        x = dst(above[0])
+    try:
+        for f in word:
+            (e, x), = over[x, f]
+            edges.append(e)
+    except (KeyError, ValueError):  # no edge over f at x, or several
+        return tuple(edges), x, len(over.get((x, f), ()))
     return tuple(edges), x, 1
 
 
@@ -383,7 +386,13 @@ def check_lifting_bijection(
 
     Lifts representatives of base classes, checks injectivity upstairs,
     and checks surjectivity by projecting every unmatched total class.
+    Both categories are read on label numbers, a class as its root in
+    the store, so it builds no ``ArrowClass`` and a ``Route`` only for
+    the pairs and witnesses it returns.
     """
+    for v, graph in ((x0, p.total.graph), (y, p.base.graph)):
+        if v not in graph.vertices:
+            raise StructureError(f"unknown vertex {render_id(v)}")
     if x0 not in p.total.flexible:
         raise StructureError(f"{render_id(x0)} is not flexible upstairs")
     if y not in p.base.flexible:
@@ -391,43 +400,39 @@ def check_lifting_bijection(
     cat_base = pi1(p.base, bound)
     cat_total = pi1(p.total, bound)
     fibre = p.fibre(y)
+    roots, labels = cat_base._roots, cat_base._store.labels
+    up_index, up_roots, up_labels = cat_total._index, cat_total._roots, cat_total._store.labels
     witnesses: list[str] = []
     pairs: list[tuple[Route, VertexId, Route]] = []
     hit: dict[tuple[VertexId, int], Route] = {}
-    ok = True
 
-    base_hom = cat_base.hom(p.vmap[x0], y)
-    for c in base_hom:
-        word = c.rep.edges
+    base = [i for i in cat_base._block(p.vmap[x0], y) if roots[i] == i]
+    for i in base:
+        word = labels[i][1]
+        rep = Route._known(p.vmap[x0], y, word)
         edges, x, count = _lift(p, x0, word)
         if count != 1:
-            ok = False
-            witnesses.append(f"cannot lift {c.rep}: {_stuck(p, x, count, word[len(edges)])}")
+            witnesses.append(f"cannot lift {rep}: {_stuck(p, x, count, word[len(edges)])}")
             continue
-        t = cat_total.class_of_label(x0, edges)
-        if t is None:
-            ok = False
-            witnesses.append(f"lift {Route(x0, x, edges)} is not realizable upstairs")
+        j = up_index.get((x0, edges))
+        if j is None or (root := up_roots[j]) < 0:
+            witnesses.append(f"lift {Route._known(x0, x, edges)} is not realizable upstairs")
             continue
-        key = (x, t.index)
+        key = (x, root)
         if key in hit:
-            ok = False
-            witnesses.append(
-                f"classes of {hit[key]} and {c.rep} lift to one class upstairs"
-            )
-        hit[key] = c.rep
-        pairs.append((c.rep, x, t.rep))
+            witnesses.append(f"classes of {hit[key]} and {rep} lift to one class upstairs")
+        hit[key] = rep
+        pairs.append((rep, x, Route._known(x0, x, up_labels[root][1])))
 
     total_count = 0
     for x in fibre:
-        for t in cat_total.hom(x0, x):
-            total_count += 1
-            if (x, t.index) not in hit:
-                ok = False
-                down = p.project(t.rep)
-                witnesses.append(
-                    f"total class of {t.rep} (projects to {down}) is never lifted to"
-                )
+        for i in cat_total._block(x0, x):
+            if up_roots[i] == i:
+                total_count += 1
+                if (x, i) not in hit:
+                    t = Route._known(x0, x, up_labels[i][1])
+                    witnesses.append(f"total class of {t} (projects to {p.project(t)}) "
+                                     "is never lifted to")
     return LiftingBijectionReport(
-        ok, x0, y, fibre, len(base_hom), total_count, tuple(pairs), tuple(witnesses)
+        not witnesses, x0, y, fibre, len(base), total_count, tuple(pairs), tuple(witnesses)
     )

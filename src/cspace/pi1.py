@@ -37,13 +37,15 @@ of a flexible space has its base's graph, cells and realizable labels,
 so its store holds the base's by reference and walks nothing; any other
 complex walks its own.
 
-The comparison functors and the product and sum audits work on label
-numbers: a label's class is its root's ordinal, composites are looked up
-from the representative words, and an ``ArrowClass`` or ``Route`` is
-built only for what a report returns.  A complex keeps what its audits
-derive from it, one slot per kind: ``induced_comparisons`` keeps X's
-flexible part and generated d-space, and ``check_product_preservation``
-keeps the product with the last right factor it saw.  A later audit of
+The comparison functors, the product and sum audits and the covering
+bijection audit work on label numbers: a label's class is its root's
+ordinal, a hom's classes are the roots in its block, composites are
+looked up from the representative words, and an ``ArrowClass`` or
+``Route`` is built only for what a report returns.  A complex keeps
+what its audits derive from it, one slot per kind:
+``induced_comparisons`` keeps X's flexible part and generated d-space,
+and ``check_product_preservation`` keeps the product with the last
+right factor it saw.  A later audit of
 the same base then reads those complexes' warm label stores, and their
 memory (about 0.6 MiB for each of the two audits on the benchmark's
 pool) lives as long as the base.  Nothing these two audits read changes
@@ -299,19 +301,26 @@ class FundamentalCategory:
             reps.append((vertices[x], vertices[y], labels[root][1]))
         return reps
 
-    def _build_hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
-        """The classes of hom(x, y), one per root in its block of the
-        store, listed by root."""
+    def _block(self, x: VertexId, y: VertexId) -> range:
+        """The label numbers of hom(x, y) within the bound, found by
+        bisection; the roots i with ``roots[i] == i`` list its classes."""
         rank = {} if self._store is None else self._store.rank
         rx, ry = rank.get(x), rank.get(y)
         if rx is None or ry is None:
-            return ()
-        keys, roots, labels = self._keys, self._roots, self._store.labels
+            return range(0)
         first = (rx * len(rank) + ry) * self._width
         last = first + min(self._bound, self._width - 1)
-        lo, hi = bisect_left(keys, first), bisect_right(keys, last)
+        return range(bisect_left(self._keys, first), bisect_right(self._keys, last))
+
+    def _build_hom(self, x: VertexId, y: VertexId) -> tuple[ArrowClass, ...]:
+        """The classes of hom(x, y), one per root in its block of the
+        store, listed by root."""
+        block = self._block(x, y)
+        if not block:
+            return ()
+        roots, labels = self._roots, self._store.labels
         members: dict[int, list[Label]] = {}
-        for i in range(lo, hi):
+        for i in block:
             members.setdefault(roots[i], []).append(labels[i])
         hom = []
         for root, labs in members.items():

@@ -314,6 +314,18 @@ class TestCovering:
         assert "base classes: 6; total classes: 6" in text
         assert "bijection: yes (bound 5)" in text
 
+    @pytest.mark.parametrize("start, to, want", [
+        ("9", "0", "error: unknown vertex 9"),
+        ("0", "7", "error: unknown vertex 7"),
+        ("9", "7", "error: unknown vertex 9"),
+    ])
+    def test_bijection_names_an_unknown_vertex(self, start, to, want):
+        code, text = run_command([
+            "cover-bijection", "--exponential", "1", "--window", "5",
+            "--from", start, "--to", to, "--bound", "3",
+        ])
+        assert (code, text) == (2, want)
+
     def test_negative_bound_is_an_input_error(self):
         code, text = run_command([
             "cover-validate", "--exponential", "2", "--window", "4", "--bound", "-2",

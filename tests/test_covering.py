@@ -12,6 +12,7 @@ from oracles import brute_lifting_bijection, brute_validate_covering
 from strategies import presented_complexes, routes_on
 from cspace import (
     CoveringMap,
+    FundamentalCategory,
     Graph,
     PresentedComplex,
     Route,
@@ -106,6 +107,17 @@ class TestLifting:
             assert built == []
         assert lift == Route("3", "5", ("e3", "e4"), frozenset({0, 2}))
 
+    def test_a_lift_reads_no_destination_from_the_total_graph(self, monkeypatch):
+        """The cover's index holds each edge's destination beside it."""
+        p = exponential_cover(3, 6)
+        b = p.base.graph.route("0", ["e0", "e1", "e2", "e0"], {1})
+        asked = []
+        dst = Graph.dst
+        monkeypatch.setattr(Graph, "dst", lambda g, e: asked.append((g, e)) or dst(g, e))
+        lift = lift_route(p, b, "-3")
+        assert [e for g, e in asked if g is p.total.graph] == []
+        assert lift == Route("-3", "1", ("e-3", "e-2", "e-1", "e0"), frozenset({1}))
+
     def test_lifts_can_start_anywhere_in_the_fibre(self):
         p = exponential_cover(1, 3)
         b = p.base.graph.route("0", ["e0"])
@@ -198,6 +210,24 @@ class TestLiftingBijection:
         report = check_lifting_bijection(identity_cover(cj), "0", "1", 3)
         assert report.bijective
         assert report.fibre == ("1",)
+
+    @pytest.mark.parametrize("name", [
+        "exponential-3-6", "broken", "non-unique-lift", "stranded-fibre-point",
+        "identity-product",
+    ])
+    def test_no_arrow_class_is_built(self, monkeypatch, name):
+        """The audit reads both categories on label numbers."""
+        build, bound = DIFFERENTIAL_COVERS[name]
+        p, fresh = build(), build()
+        grid = [(x0, y) for x0 in sorted(p.total.flexible, key=idkey)
+                for y in sorted(p.base.flexible, key=idkey)]
+        want = [check_lifting_bijection(fresh, x0, y, bound) for x0, y in grid]
+
+        def refuse(*args):
+            raise AssertionError("an ArrowClass was built")
+
+        monkeypatch.setattr(FundamentalCategory, "_build_hom", refuse)
+        assert [check_lifting_bijection(p, x0, y, bound) for x0, y in grid] == want
 
     def test_lift_endpoints_separate_the_winding_classes(self):
         p = exponential_cover(1, 5)
@@ -400,6 +430,17 @@ class TestOneLiftWalk:
         assert validate_covering(p, bound).valid
         assert len(asked) == len(set(asked))
         assert sorted(asked, key=repr) == sorted(expected, key=repr)
+
+    @pytest.mark.parametrize("name", ["exponential-3-6", "broken", "delayed-product-over-product"])
+    def test_a_cold_walk_reads_no_destination_from_the_total_graph(self, monkeypatch, name):
+        build, bound = DIFFERENTIAL_COVERS[name]
+        want = validate_covering(build(), bound)
+        p = build()
+        asked = []
+        dst = Graph.dst
+        monkeypatch.setattr(Graph, "dst", lambda g, e: asked.append((g, e)) or dst(g, e))
+        assert validate_covering(p, bound) == want
+        assert [e for g, e in asked if g is p.total.graph] == []
 
     def test_a_bound_past_the_longest_word_costs_nothing(self):
         p = identity_cover(interval_c())
