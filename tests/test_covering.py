@@ -41,6 +41,14 @@ from cspace import (
 from cspace.cli import run_command
 
 
+def _record_dst(monkeypatch) -> list:
+    """Patch ``Graph.dst`` to record each (graph, edge) it is asked."""
+    asked = []
+    dst = Graph.dst
+    monkeypatch.setattr(Graph, "dst", lambda g, e: asked.append((g, e)) or dst(g, e))
+    return asked
+
+
 class TestCoveringMapConstruction:
     def test_maps_must_cover_every_vertex_and_edge(self):
         X = line_c(1)
@@ -111,9 +119,7 @@ class TestLifting:
         """The cover's index holds each edge's destination beside it."""
         p = exponential_cover(3, 6)
         b = p.base.graph.route("0", ["e0", "e1", "e2", "e0"], {1})
-        asked = []
-        dst = Graph.dst
-        monkeypatch.setattr(Graph, "dst", lambda g, e: asked.append((g, e)) or dst(g, e))
+        asked = _record_dst(monkeypatch)
         lift = lift_route(p, b, "-3")
         assert [e for g, e in asked if g is p.total.graph] == []
         assert lift == Route("-3", "1", ("e-3", "e-2", "e-1", "e0"), frozenset({1}))
@@ -436,9 +442,7 @@ class TestOneLiftWalk:
         build, bound = DIFFERENTIAL_COVERS[name]
         want = validate_covering(build(), bound)
         p = build()
-        asked = []
-        dst = Graph.dst
-        monkeypatch.setattr(Graph, "dst", lambda g, e: asked.append((g, e)) or dst(g, e))
+        asked = _record_dst(monkeypatch)
         assert validate_covering(p, bound) == want
         assert [e for g, e in asked if g is p.total.graph] == []
 
